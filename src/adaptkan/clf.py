@@ -194,7 +194,7 @@ def lyapunov_value_and_grad(net: AdaptKanNet, X, mode: str = "squared_norm"):
         seed = Y
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    _, grad = net.backward(caches, seed)
+    _, grad = net.backward(caches, seed, param_grads=False)
     return V, grad
 
 

@@ -11,11 +11,23 @@ with ``record=True`` the forward pass updates the histograms and runs the
 domain adaptation before evaluating, so layers adapt to the data they are
 about to see.
 
+Each layer is evaluated as matrix products against a dense cubic basis
+D (B, n*P), P = omega + 3, the basis-matrix form of efficient-kan applied
+to KAN: row b holds, in feature j's block of P columns, the four nonzero
+B-spline values of x_bj.  With w_s folded into the weights, Wf = coef * w_s
+laid out as (n*P, m), the layer output is D @ Wf + silu(Z) @ w_b, so the
+(B, n, m) activation tensor is never formed.  D is built in row blocks of at
+most BLOCK_ELEMS elements, bounding memory on whole-dataset passes.
+
 Gradients are computed in closed form: reverse mode for weights and inputs,
 plus optional forward tangent channels (directional derivatives of the
 outputs w.r.t. the inputs) whose reverse pass supplies exact parameter
 gradients for losses built on input-gradients, e.g. Lie-derivative terms.
-All per-layer math is vectorised over batch and features at once.
+Coefficient gradients are D.T @ G and input gradients G @ Wf.T read at each
+window against the derivative basis; a tangent contracts like a value, with
+the derivative window scaled by the tangent in place of the value window.
+Per-activation values are formed only for the L1 sparsity penalty and its
+cotangent.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ import numpy as np
 
 from .adapt import AdaptConfig, apply_adapt, decide, manual_adapt
 from .histogram import FeatureHistogram
-from .spline import M_CUBIC, GridDomain, greville_abscissae, refine_grid
+from .spline import GridDomain, basis, dense_basis, greville_abscissae, refine_grid, window_columns
 
 
 class NonFiniteError(FloatingPointError):
@@ -35,65 +47,59 @@ class NonFiniteError(FloatingPointError):
         self.layer = layer
 
 
+# Upper bound on the elements of one row block of a layer's dense basis.
+# A whole-dataset pass (RMSE, prediction) would otherwise hold a (B, n*P)
+# matrix per layer at once; a 512 KiB block also stays in cache between the
+# scatter that builds it and the matrix product that reads it.  Blocks of
+# 2^15 to 2^17 elements run at the same speed here; 2^17 raised the peak
+# RSS of small-network runs by about 1 MB, 2^18 and more ran slower.
+BLOCK_ELEMS = 1 << 16
+
+
 def _sigmoid(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def silu(z, s=None):
+    """z * sigmoid(z); ``s`` is sigmoid(z) when the caller already has it."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return z * (_sigmoid(z) if s is None else s)
 
 
-def silu(z):
-    return z * _sigmoid(z)
-
-
-def silu_d1(z):
-    s = _sigmoid(z)
+def silu_d1(z, s=None):
+    z = np.asarray(z, dtype=float)
+    s = _sigmoid(z) if s is None else s
     return s * (1.0 + z * (1.0 - s))
 
 
-def silu_d2(z):
-    s = _sigmoid(z)
+def silu_d2(z, s=None):
+    z = np.asarray(z, dtype=float)
+    s = _sigmoid(z) if s is None else s
     return s * (1.0 - s) * (2.0 + z * (1.0 - 2.0 * s))
 
 
-def _pows(theta: np.ndarray) -> np.ndarray:
-    """[theta^3, theta^2, theta, 1] stacked on a trailing axis."""
-    out = np.empty(theta.shape + (4,))
-    t2 = theta * theta
-    out[..., 0] = t2 * theta
-    out[..., 1] = t2
-    out[..., 2] = theta
-    out[..., 3] = 1.0
-    return out
-
-
-def _pows_d1(theta: np.ndarray) -> np.ndarray:
-    out = np.empty(theta.shape + (4,))
-    out[..., 0] = 3.0 * theta * theta
-    out[..., 1] = 2.0 * theta
-    out[..., 2] = 1.0
-    out[..., 3] = 0.0
-    return out
-
-
-def _pows_d2(theta: np.ndarray) -> np.ndarray:
-    out = np.empty(theta.shape + (4,))
-    out[..., 0] = 6.0 * theta
-    out[..., 1] = 2.0
-    out[..., 2] = 0.0
-    out[..., 3] = 0.0
-    return out
+def _row_blocks(rows: int, width: int):
+    """Row slices whose (rows, width) blocks hold at most BLOCK_ELEMS elements."""
+    step = max(1, BLOCK_ELEMS // width)
+    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
 
 
 class AdaptKanLayer:
     """One spline layer: n input features, m outputs.
 
-    ``coef`` has shape (n, m, omega + k): coef[j][i] are the spline weights
-    of activation (i, j).  ``w_s``/``w_b`` (n, m) scale the spline and SiLU
-    base terms and are only active when ``use_base`` is set.
+    ``coef`` has shape (n, m, P) with P = omega + k: coef[j][i] are the
+    spline weights of activation (i, j).  ``w_s``/``w_b`` (n, m) scale the
+    spline and SiLU base terms and are only active when ``use_base`` is set.
+
+    The layer is evaluated against a dense basis: row b of D (B, n*P) holds,
+    in feature j's block of P columns, the four nonzero cubic basis values of
+    x_bj at columns bins_bj .. bins_bj + 3.  With ``w_s`` folded into the
+    weights, Wf = (coef * w_s) laid out as (n*P, m), every contraction is one
+    matrix product: outputs D @ Wf (+ silu(Z) @ w_b), coefficient gradients
+    D.T @ G, and input gradients (G @ Wf.T) read back at each window.  D is
+    never held whole: it is built BLOCK_ELEMS elements' worth of rows at a
+    time, so memory stays bounded on full-dataset passes.
     """
 
     def __init__(self, n: int, m: int, domains, hists, coef, w_s, w_b, use_base: bool):
@@ -110,22 +116,92 @@ class AdaptKanLayer:
     def omega(self) -> int:
         return self.domains[0].omega
 
-    def _locate(self, Z: np.ndarray):
-        """(bins, theta, inside) across all features at once."""
-        a = np.array([dom.a for dom in self.domains])
-        d = np.array([dom.d for dom in self.domains])
-        omega = np.array([dom.omega for dom in self.domains])
-        u = (Z - a) / d
-        bins = np.clip(np.floor(u), 0.0, omega - 1)
-        theta = np.clip(u - bins, 0.0, 1.0)
-        inside = (u >= 0.0) & (u <= omega)
-        return bins.astype(np.int64), theta, inside
+    def folded_weights(self) -> np.ndarray:
+        """(n*P, m) weights of the dense basis, w_s folded in under the base term."""
+        W = self.coef * self.w_s[:, :, None] if self.use_base else self.coef
+        return W.transpose(0, 2, 1).reshape(-1, self.m)
 
-    def _window(self, bins: np.ndarray):
-        """Active coefficient windows: (B, n, k+1, m)."""
-        idx = bins[:, :, None] + np.arange(4)
-        coef_t = self.coef.transpose(0, 2, 1)  # (n, P, m)
-        return coef_t[np.arange(self.n)[None, :, None], idx], idx
+    def dense_blocks(self, cols: np.ndarray, V: np.ndarray):
+        """Yield (rows, dense basis of those rows) for window values V (R, n, 4).
+
+        ``cols`` (R, n, 4) are the windows' dense columns.  Every block is
+        written into the same buffer, so a block is only valid until the next
+        one is requested.
+        """
+        width = self.n * self.coef.shape[2]
+        blocks = _row_blocks(len(V), width)
+        buf = np.empty(blocks[0].stop * width if blocks else 0)
+        for r in blocks:
+            yield r, dense_basis(cols[r], V[r], buf[:(r.stop - r.start) * width].reshape(-1, width))
+
+    def basis_product(self, cols, V, Wf) -> np.ndarray:
+        """dense(V) @ Wf: (R, m)."""
+        out = np.empty((len(V), self.m))
+        for r, D in self.dense_blocks(cols, V):
+            out[r] = D @ Wf
+        return out
+
+    def basis_cotangent(self, cols, V, E) -> np.ndarray:
+        """dense(V).T @ E as (n, P, m); E is (R, m), or (R, n, m) per feature."""
+        P = self.coef.shape[2]
+        out = np.zeros((self.n, P, self.m))
+        for r, D in self.dense_blocks(cols, V):
+            if E.ndim == 2:
+                out += (D.T @ E[r]).reshape(out.shape)
+            else:
+                out += D.reshape(-1, self.n, P).transpose(1, 2, 0) @ E[r].transpose(1, 0, 2)
+        return out
+
+    def window_cotangent(self, cols, E, Wf) -> np.ndarray:
+        """E @ Wf.T read at the window columns ``cols``: (R, n, 4).
+
+        E is (R, m), or (R, n, m) with a separate cotangent per feature.
+        """
+        P = self.coef.shape[2]
+        width = self.n * P
+        out = np.empty(cols.shape)
+        blocks = _row_blocks(len(cols), width)
+        buf = np.empty(blocks[0].stop * width if blocks else 0)
+        for r in blocks:
+            rows = r.stop - r.start
+            H = buf[:rows * width].reshape(rows, width)
+            if E.ndim == 2:
+                np.matmul(E[r], Wf.T, out=H)
+            else:
+                np.matmul(E[r].transpose(1, 0, 2), Wf.reshape(self.n, P, self.m).transpose(0, 2, 1),
+                          out=H.reshape(rows, self.n, P).transpose(1, 0, 2))
+            out[r] = H.reshape(-1)[cols[r] + width * np.arange(rows)[:, None, None]]
+        return out
+
+    def activations(self, cache) -> np.ndarray:
+        """Per-activation values phi_ij(x_bj) of a cached evaluation: (B, n, m)."""
+        P = self.coef.shape[2]
+        Wf3 = cache["Wf"].reshape(self.n, P, self.m)
+        C = cache["Cs"][0]
+        out = np.empty(C.shape[:2] + (self.m,))
+        for r, D in self.dense_blocks(cache["cols"], C):
+            out[r] = (D.reshape(-1, self.n, P).transpose(1, 0, 2) @ Wf3).transpose(1, 0, 2)
+        if self.use_base:
+            out += self.w_b * silu(cache["Z"], cache["sig"])[:, :, None]
+        return out
+
+    def param_grads(self, GD, GB) -> dict:
+        """Gradient dict from the basis cotangent GD (n, P, m) and base GB (n, m)."""
+        GD = GD.transpose(0, 2, 1)
+        if not self.use_base:
+            return {"coef": GD, "w_s": np.zeros_like(self.w_s), "w_b": np.zeros_like(self.w_b)}
+        return {"coef": self.w_s[:, :, None] * GD, "w_s": (self.coef * GD).sum(axis=2),
+                "w_b": GB}
+
+
+def _base_cotangent(u, E):
+    """u.T @ E for base values u (R, n) and E (R, m) or per-feature (R, n, m)."""
+    return u.T @ E if E.ndim == 2 else np.einsum("rj,rjm->jm", u, E)
+
+
+def _base_input(E, w_b):
+    """Cotangent of the base values from E (R, m) or per-feature (R, n, m): (R, n)."""
+    return E @ w_b.T if E.ndim == 2 else (E * w_b).sum(axis=2)
 
 
 class AdaptKanNet:
@@ -218,27 +294,27 @@ class AdaptKanNet:
     # forward / reverse
     # ------------------------------------------------------------------
 
-    def _layer_eval(self, li: int, Z: np.ndarray):
-        """Evaluate layer li on inputs Z, caching what the backward needs."""
+    def _layer_eval(self, li: int, Z: np.ndarray, order: int = 1):
+        """Evaluate layer li on inputs Z, caching what the reverse passes need.
+
+        The cache keeps the window bases up to the order-th derivative with
+        their dense columns, the sigmoid of Z (base term only) and the folded
+        weights.
+        """
         layer = self.layers[li]
-        bins, theta, inside = layer._locate(Z)
+        a = np.array([dom.a for dom in layer.domains])
         d = np.array([dom.d for dom in layer.domains])
-        C = _pows(theta) @ M_CUBIC.T                      # (B, n, 4)
-        C1 = (_pows_d1(theta) @ M_CUBIC.T) / d[:, None]
-        C1[~inside] = 0.0
-        W, idx = layer._window(bins)                      # (B, n, 4, m)
-        S = np.einsum("bnsm,bns->bnm", W, C)
-        Sp = np.einsum("bnsm,bns->bnm", W, C1)
+        bins, Cs = basis(Z, a, d, layer.omega, order)
+        cols = window_columns(bins, layer.coef.shape[2])
+        Wf = layer.folded_weights()
+        Y = layer.basis_product(cols, Cs[0], Wf)
+        sig = None
         if layer.use_base:
-            phi = layer.w_s[None] * S + layer.w_b[None] * silu(Z)[:, :, None]
-        else:
-            phi = S
-        Y = phi.sum(axis=1)
+            sig = _sigmoid(Z)
+            Y += silu(Z, sig) @ layer.w_b
         if not np.all(np.isfinite(Y)):
             raise NonFiniteError(li)
-        cache = {"Z": Z, "bins": bins, "theta": theta, "inside": inside,
-                 "idx": idx, "C": C, "C1": C1, "S": S, "Sp": Sp}
-        return Y, cache
+        return Y, {"Z": Z, "cols": cols, "Cs": Cs, "sig": sig, "Wf": Wf}
 
     def forward(self, X, record: bool = False):
         """Run the stack; with ``record`` update histograms and adapt first.
@@ -256,41 +332,29 @@ class AdaptKanNet:
             caches.append(cache)
         return Z, caches
 
-    def _scatter_coef(self, layer: AdaptKanLayer, idx: np.ndarray, V: np.ndarray):
-        """Accumulate window-local values V (B, n, 4, m) into coef-shaped grads."""
-        P, m = layer.coef.shape[2], layer.m
-        flat = (np.arange(layer.n)[None, :, None] * P + idx)[..., None] * m + np.arange(m)
-        acc = np.bincount(flat.ravel(), weights=V.ravel(), minlength=layer.n * P * m)
-        return acc.reshape(layer.n, P, m).transpose(0, 2, 1)
-
-    def backward(self, caches, grad_out, activation_grads=None):
+    def backward(self, caches, grad_out, activation_grads=None, param_grads: bool = True):
         """Reverse-mode gradients from an output cotangent.
 
         ``activation_grads`` optionally adds a per-activation cotangent
         (list over layers of (B, n, m) arrays), used by regularisers that
-        act on individual activation values before they are summed.
+        act on individual activation values before they are summed.  With
+        ``param_grads=False`` only the input gradient is computed and the
+        gradient dicts come back as None.
         Returns (per-layer gradient dicts, gradient w.r.t. the inputs).
         """
         G = np.asarray(grad_out, dtype=float)
-        grads = [None] * len(self.layers)
+        grads = [None] * len(self.layers) if param_grads else None
         for li in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[li]
             c = caches[li]
-            Z, idx, C, C1, S, Sp = c["Z"], c["idx"], c["C"], c["C1"], c["S"], c["Sp"]
-            E = G[:, None, :] if activation_grads is None else G[:, None, :] + activation_grads[li]
-            scale = layer.w_s[None] if layer.use_base else 1.0
-            dcoef = self._scatter_coef(layer, idx, (E * scale)[:, :, None, :] * C[..., None])
+            Z, cols, (C, C1), sig, Wf = c["Z"], c["cols"], c["Cs"][:2], c["sig"], c["Wf"]
+            E = G if activation_grads is None else G[:, None, :] + activation_grads[li]
+            if param_grads:
+                GB = _base_cotangent(silu(Z, sig), E) if layer.use_base else None
+                grads[li] = layer.param_grads(layer.basis_cotangent(cols, C, E), GB)
+            G = (layer.window_cotangent(cols, E, Wf) * C1).sum(axis=2)
             if layer.use_base:
-                sv = silu(Z)
-                dws = (E * S).sum(axis=0)
-                dwb = (E * sv[:, :, None]).sum(axis=0)
-                dphi = layer.w_s[None] * Sp + layer.w_b[None] * silu_d1(Z)[:, :, None]
-            else:
-                dws = np.zeros_like(layer.w_s)
-                dwb = np.zeros_like(layer.w_b)
-                dphi = Sp
-            G = (E * dphi).sum(axis=2)
-            grads[li] = {"coef": dcoef, "w_s": dws, "w_b": dwb}
+                G += silu_d1(Z, sig) * _base_input(E, layer.w_b)
         return grads, G
 
     # ------------------------------------------------------------------
@@ -302,7 +366,9 @@ class AdaptKanNet:
 
         ``tangents`` has shape (B, n, T); channel t propagates the
         directional derivative of every intermediate along tangents[:, :, t].
-        Returns (Y, Ydot, caches) with Ydot of shape (B, m, T).
+        Returns (Y, Ydot, caches) with Ydot of shape (B, m, T).  A tangent
+        contracts like a value, with the derivative basis C1 scaled by the
+        tangent in place of C.
         """
         Z = np.asarray(X, dtype=float)
         Zdot = np.asarray(tangents, dtype=float)
@@ -313,14 +379,14 @@ class AdaptKanNet:
             if record:
                 self._observe(li, Z)
             layer = self.layers[li]
-            Y, cache = self._layer_eval(li, Z)
+            Y, cache = self._layer_eval(li, Z, order=2)
+            cols, C1 = cache["cols"], cache["Cs"][1]
+            Ydot = np.empty(Y.shape + Zdot.shape[2:])
+            for t in range(Zdot.shape[2]):
+                Ydot[:, :, t] = layer.basis_product(cols, C1 * Zdot[:, :, t, None], cache["Wf"])
             if layer.use_base:
-                dphi = layer.w_s[None] * cache["Sp"] + layer.w_b[None] * silu_d1(Z)[:, :, None]
-            else:
-                dphi = cache["Sp"]
-            Ydot = np.einsum("bnm,bnt->bmt", dphi, Zdot)
+                Ydot += np.einsum("bn,bnt,nm->bmt", silu_d1(Z, cache["sig"]), Zdot, layer.w_b)
             cache["Zdot"] = Zdot
-            cache["dphi"] = dphi
             caches.append(cache)
             Z, Zdot = Y, Ydot
         return Z, Zdot, caches
@@ -339,31 +405,27 @@ class AdaptKanNet:
         for li in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[li]
             c = caches[li]
-            Z, Zdot, idx = c["Z"], c["Zdot"], c["idx"]
-            C, C1, S, Sp, dphi = c["C"], c["C1"], c["S"], c["Sp"], c["dphi"]
-            d = np.array([dom.d for dom in layer.domains])
-            C2 = (_pows_d2(c["theta"]) @ M_CUBIC.T) / d[:, None] ** 2
-            C2[~c["inside"]] = 0.0
-            W, _ = layer._window(c["bins"])
-            Spp = np.einsum("bnsm,bns->bnm", W, C2)
-            Ej = np.einsum("bit,bjt->bji", Gdot, Zdot)  # tangent cotangent folded
-            GB = G[:, None, :]
-            scale = layer.w_s[None] if layer.use_base else 1.0
-            V = (GB * scale)[:, :, None, :] * C[..., None] \
-                + (Ej * scale)[:, :, None, :] * C1[..., None]
-            dcoef = self._scatter_coef(layer, idx, V)
+            Z, Zdot, cols, (C, C1, C2), Wf = c["Z"], c["Zdot"], c["cols"], c["Cs"], c["Wf"]
+            T = Zdot.shape[2]
+            GD = layer.basis_cotangent(cols, C, G)
+            for t in range(T):
+                GD += layer.basis_cotangent(cols, C1 * Zdot[:, :, t, None], Gdot[:, :, t])
+            gZ = (layer.window_cotangent(cols, G, Wf) * C1).sum(axis=2)
+            gZdot = np.empty(Zdot.shape)
+            for t in range(T):
+                H = layer.window_cotangent(cols, Gdot[:, :, t], Wf)
+                gZdot[:, :, t] = (H * C1).sum(axis=2)
+                gZ += Zdot[:, :, t] * (H * C2).sum(axis=2)
+            GB = None
             if layer.use_base:
-                sv, sd1, sd2 = silu(Z), silu_d1(Z), silu_d2(Z)
-                dws = (GB * S + Ej * Sp).sum(axis=0)
-                dwb = (GB * sv[:, :, None] + Ej * sd1[:, :, None]).sum(axis=0)
-                ddphi = layer.w_s[None] * Spp + layer.w_b[None] * sd2[:, :, None]
-            else:
-                dws = np.zeros_like(layer.w_s)
-                dwb = np.zeros_like(layer.w_b)
-                ddphi = Spp
-            gZ = (GB * dphi).sum(axis=2) + (Ej * ddphi).sum(axis=2)
-            gZdot = np.einsum("bit,bji->bjt", Gdot, dphi)
-            grads[li] = {"coef": dcoef, "w_s": dws, "w_b": dwb}
+                sv = silu(Z, c["sig"])
+                sd1 = silu_d1(Z, c["sig"])
+                sd2 = silu_d2(Z, c["sig"])
+                GB = sv.T @ G + np.einsum("bj,bjt,bit->ji", sd1, Zdot, Gdot)
+                Hb = np.einsum("bit,ji->bjt", Gdot, layer.w_b)
+                gZ += sd1 * (G @ layer.w_b.T) + sd2 * (Zdot * Hb).sum(axis=2)
+                gZdot += sd1[:, :, None] * Hb
+            grads[li] = layer.param_grads(GD, GB)
             G, Gdot = gZ, gZdot
         return grads, G, Gdot
 
@@ -443,12 +505,8 @@ def sparsity_penalty(net: AdaptKanNet, caches, lam: float):
     total = 0.0
     extras = []
     for layer, cache in zip(net.layers, caches):
-        Z, S = cache["Z"], cache["S"]
-        B = Z.shape[0]
-        if layer.use_base:
-            act = layer.w_s[None] * S + layer.w_b[None] * silu(Z)[:, :, None]
-        else:
-            act = S
+        B = cache["Z"].shape[0]
+        act = layer.activations(cache)
         total += np.abs(act).sum() / B
         extras.append(lam * np.sign(act) / (B * n_act))
     return lam * total / n_act, extras

@@ -11,11 +11,17 @@ is used across the whole domain (no special edge segments), which makes
 indexing into histogram bins and weight vectors trivial.  Outside [a, b]
 the local coordinate is clamped, so the function extends as a constant.
 
+:func:`basis` computes the windows for many features at once and
+:func:`dense_basis` scatters them into a dense (samples, n * P) basis that
+contracts with weights as one matrix product; the single-activation API
+below is the n = 1 case, and the network layers use the same two routines.
+
 Only k=3 is supported; the matrix for other degrees is not provided.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -95,98 +101,114 @@ def interp_value(z, dom: GridDomain):
     return theta if theta.ndim else float(theta)
 
 
-def _power_stack(theta: np.ndarray, k: int, order: int = 0) -> np.ndarray:
-    """Columns of descending theta powers, differentiated ``order`` times."""
-    cols = []
-    for p in range(k, -1, -1):
-        c = 1.0
-        q = p
-        for _ in range(order):
-            c *= q
-            q -= 1
-        if q < 0:
-            cols.append(np.zeros_like(theta))
-        else:
-            cols.append(c * theta**q)
-    return np.stack(cols, axis=-1)
+def _d_theta(mat: np.ndarray) -> np.ndarray:
+    """Map a window matrix over [theta^3, theta^2, theta, 1] to its theta-derivative.
 
-
-def locate(z, dom: GridDomain, clamp_theta: bool = True):
-    """Vectorised (bins, theta, in-domain mask) for inputs z.
-
-    The bin index is always clamped to [0, omega-1].  With ``clamp_theta``
-    the local coordinate is clipped to [0, 1], extending the spline as a
-    constant outside [a, b]; without it the edge segment's polynomial is
-    extrapolated instead.
+    Differentiating moves the weight of theta^q onto theta^(q-1) times q.
+    Elementwise on purpose: a matrix product here would start BLAS at import.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    bins = np.clip(np.floor((z - dom.a) / dom.d), 0, dom.omega - 1).astype(np.int64)
-    theta = (z - dom.a) / dom.d - bins
+    return np.vstack([np.zeros(4), mat[:3] * np.array([[3.0], [2.0], [1.0]])])
+
+
+# Window matrices of the value and its first two theta-derivatives: the
+# powers row [theta^3, theta^2, theta, 1] times _WINDOW_MATS[o] is the
+# order-o window.
+_WINDOW_MATS = (M_CUBIC.T, _d_theta(M_CUBIC.T), _d_theta(_d_theta(M_CUBIC.T)))
+
+
+def basis(z, a, d, omega: int, order: int = 0, clamp_theta: bool = True):
+    """Cubic window basis of the value and its first ``order`` z-derivatives.
+
+    ``z`` (..., n) holds samples of n features whose domains start at ``a``
+    and have interval width ``d`` (scalars or (n,) arrays), each split into
+    ``omega`` intervals.  Returns ``(bins, Cs)``: ``bins`` (..., n) is the
+    interval index, clamped to [0, omega-1], and ``Cs[o]`` (..., n, 4) the
+    order-o window, whose entry s multiplies weight w_{bins+s}.  With
+    ``clamp_theta`` the local coordinate is clipped to [0, 1], extending the
+    spline as a constant outside [a, b]; without it the edge segments
+    extrapolate.  Derivative windows are zero outside [a, b].
+    """
+    u = (np.asarray(z, dtype=float) - a) / d
+    bins = np.clip(np.floor(u), 0, omega - 1)
+    theta = u - bins
     if clamp_theta:
         theta = np.clip(theta, 0.0, 1.0)
-    inside = (z >= dom.a) & (z <= dom.b)
-    return bins, theta, inside
+    t2 = theta * theta
+    pows = np.stack([t2 * theta, t2, theta, np.ones_like(theta)], axis=-1).reshape(-1, 4)
+    shape = theta.shape + (4,)
+    Cs = [(pows @ _WINDOW_MATS[0]).reshape(shape)]
+    if order:
+        outside = ~((u >= 0.0) & (u <= omega))
+        d = np.asarray(d, dtype=float)[..., None]
+        for o in range(1, order + 1):
+            Co = (pows @ _WINDOW_MATS[o]).reshape(shape) / d**o
+            Co[outside] = 0.0
+            Cs.append(Co)
+    return bins.astype(np.int64), Cs
 
 
-def basis_values(z, dom: GridDomain, clamp_theta: bool = True):
-    """Per-sample window basis: (bins, C) with C[s] multiplying w_{bin+s}."""
-    M = basis_matrix(dom.k)
-    bins, theta, _ = locate(z, dom, clamp_theta)
-    C = _power_stack(theta, dom.k, order=0) @ M.T
-    return bins, C
+def window_columns(bins: np.ndarray, n_coef: int) -> np.ndarray:
+    """Dense-basis column of every window entry: (..., n, 4) from bins (..., n).
+
+    Feature j owns columns j * n_coef .. (j + 1) * n_coef - 1 of the dense
+    basis, and its window starts at column j * n_coef + bins[..., j].
+    """
+    return (bins + n_coef * np.arange(bins.shape[-1]))[..., None] + np.arange(4)
 
 
-def basis_derivs(z, dom: GridDomain, order: int = 1):
-    """Window basis of the order-th z derivative; zero outside [a, b]."""
-    M = basis_matrix(dom.k)
-    bins, theta, inside = locate(z, dom)
-    C = _power_stack(theta, dom.k, order=order) @ M.T / dom.d**order
-    C[~inside] = 0.0
-    return bins, C
+def dense_basis(cols: np.ndarray, C: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write windows C (R, n, 4) at columns ``cols`` into zeroed rows ``out``.
+
+    ``out`` is a C-contiguous (R, width) array, overwritten and returned.
+    With ``cols`` from :func:`window_columns` and weights laid out in the
+    same column order, a contraction over every feature's window becomes one
+    matrix product against the result.
+    """
+    R, width = out.shape
+    out.fill(0.0)
+    out.reshape(-1)[(cols + width * np.arange(R)[:, None, None]).ravel()] = C.ravel()
+    return out
 
 
-def _window_dot(w, bins: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Sum over the k+1 active weights: w may be (P,) or (m, P) rows."""
-    idx = bins[:, None] + np.arange(C.shape[1])
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        return (w[idx] * C).sum(axis=1)
-    return np.einsum("mbs,bs->bm", w[:, idx], C)
+def _design_matrix(z, dom: GridDomain, order: int = 0, clamp_theta: bool = True) -> np.ndarray:
+    """Dense (S, n_coef) basis of the order-th z derivative at samples z."""
+    basis_matrix(dom.k)  # raises for the degrees basis() does not cover
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    bins, Cs = basis(z[:, None], dom.a, dom.d, dom.omega, order, clamp_theta)
+    return dense_basis(window_columns(bins, dom.n_coef), Cs[order], np.empty((len(z), dom.n_coef)))
+
+
+def _contract(z, w_row, dom: GridDomain, order: int, clamp_theta: bool = True):
+    """Order-th z derivative of the spline(s) with weights w_row (P,) or (m, P)."""
+    w_row = np.asarray(w_row, dtype=float)
+    if w_row.shape[-1] != dom.n_coef:
+        raise ValueError(f"expected {dom.n_coef} weights, got {w_row.shape[-1]}")
+    out = _design_matrix(z, dom, order, clamp_theta) @ w_row.T
+    if np.ndim(z) != 0:
+        return out
+    return float(out[0]) if out.ndim == 1 else out[0]
 
 
 def eval_activation(z, w_row, dom: GridDomain, clamp_theta: bool = True):
     """Evaluate the spline with weights ``w_row`` at z (scalar or array).
 
+    ``w_row`` may also hold m weight rows (m, P), giving (len(z), m) values.
     Outside [a, b] the function extends as a constant; pass
     ``clamp_theta=False`` to extrapolate the edge segments instead (used
     when sampling a spline for refits).
     """
-    w_row = np.asarray(w_row, dtype=float)
-    if w_row.shape[-1] != dom.n_coef:
-        raise ValueError(f"expected {dom.n_coef} weights, got {w_row.shape[-1]}")
-    scalar = np.ndim(z) == 0
-    bins, C = basis_values(z, dom, clamp_theta)
-    out = _window_dot(w_row, bins, C)
-    return float(out[0]) if scalar and out.ndim == 1 else (out[0] if scalar else out)
+    return _contract(z, w_row, dom, 0, clamp_theta)
 
 
 def activation_dz(z, w_row, dom: GridDomain):
     """Derivative of the spline w.r.t. z (right-limit at knots, 0 outside)."""
-    w_row = np.asarray(w_row, dtype=float)
-    scalar = np.ndim(z) == 0
-    bins, C1 = basis_derivs(z, dom, order=1)
-    out = _window_dot(w_row, bins, C1)
-    return float(out[0]) if scalar and out.ndim == 1 else (out[0] if scalar else out)
+    return _contract(z, w_row, dom, 1)
 
 
 def activation_dw(z, dom: GridDomain):
     """Gradient of the spline value w.r.t. its weights (dense, mostly zero)."""
-    scalar = np.ndim(z) == 0
-    bins, C = basis_values(z, dom)
-    grad = np.zeros((len(bins), dom.n_coef))
-    idx = bins[:, None] + np.arange(C.shape[1])
-    np.put_along_axis(grad, idx, C, axis=1)
-    return grad[0] if scalar else grad
+    grad = _design_matrix(z, dom)
+    return grad[0] if np.ndim(z) == 0 else grad
 
 
 def greville_abscissae(dom: GridDomain) -> np.ndarray:
@@ -213,28 +235,23 @@ class RefitInfo(NamedTuple):
 LSQ_SAMPLES_PER_INTERVAL = 10
 
 
-def _design_matrix(z: np.ndarray, dom: GridDomain) -> np.ndarray:
-    bins, C = basis_values(z, dom)
-    A = np.zeros((len(z), dom.n_coef))
-    idx = bins[:, None] + np.arange(C.shape[1])
-    np.put_along_axis(A, idx, C, axis=1)
-    return A
+@functools.lru_cache(maxsize=16)
+def _lsq_factor(omega: int, k: int):
+    """(design matrix, pseudo-inverse, rank) of the refit problem, read-only.
 
-
-def fit_to_samples(z: np.ndarray, y: np.ndarray, dom: GridDomain):
-    """Least-squares spline weights reproducing samples y at locations z.
-
-    y may be (S,) for one activation or (S, m) for m activations sharing z.
-    Singular systems fall back to the minimum-norm solution (SVD), flagged
-    via ``rank_deficient``.
+    :func:`refit_least_squares` samples linspace(a, b, S) with S = 10 omega;
+    in the normalised coordinate u = (z - a) / d these are linspace(0, omega,
+    S) whatever the domain.  As gcd(omega, S - 1) = 1 no interior sample
+    lands on a knot, so rounding in u never moves a sample to another bin and
+    the design matrix depends on (omega, k) alone.
     """
-    A = _design_matrix(z, dom)
-    y2 = y if y.ndim == 2 else y[:, None]
-    sol, _, rank, _ = np.linalg.lstsq(A, y2, rcond=None)
-    max_err = float(np.abs(A @ sol - y2).max()) if y2.size else 0.0
-    info = RefitInfo(max_err=max_err, rank=int(rank), rank_deficient=rank < dom.n_coef)
-    w = sol.T
-    return (w[0] if y.ndim == 1 else w), info
+    S = LSQ_SAMPLES_PER_INTERVAL * omega
+    A = _design_matrix(np.linspace(0.0, float(omega), S), GridDomain(0.0, float(omega), omega, k))
+    pinv = np.linalg.pinv(A)
+    rank = int(np.linalg.matrix_rank(A))
+    A.flags.writeable = False
+    pinv.flags.writeable = False
+    return A, pinv, rank
 
 
 def refit_least_squares(old_weights, old_dom: GridDomain, new_dom: GridDomain):
@@ -244,12 +261,17 @@ def refit_least_squares(old_weights, old_dom: GridDomain, new_dom: GridDomain):
     weights solve the resulting linear least-squares problem.  Outside the
     old bounds the old spline is evaluated by the same clamped-window
     formula, i.e. its edge segments extrapolate, so e.g. a linear spline
-    stays linear across a stretch.
+    stays linear across a stretch.  ``old_weights`` may be (P,) or (m, P)
+    rows sharing the domain.  A singular system gets the minimum-norm
+    solution, flagged via ``rank_deficient``.
     """
     z = np.linspace(new_dom.a, new_dom.b, LSQ_SAMPLES_PER_INTERVAL * new_dom.omega)
-    old_weights = np.asarray(old_weights, dtype=float)
     y = eval_activation(z, old_weights, old_dom, clamp_theta=False)
-    return fit_to_samples(z, y, new_dom)
+    A, pinv, rank = _lsq_factor(new_dom.omega, new_dom.k)
+    sol = pinv @ y
+    max_err = float(np.abs(A @ sol - y).max()) if y.size else 0.0
+    info = RefitInfo(max_err=max_err, rank=rank, rank_deficient=rank < new_dom.n_coef)
+    return sol.T, info
 
 
 def refit_greville(old_weights, old_dom: GridDomain, new_dom: GridDomain):
