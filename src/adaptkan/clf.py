@@ -21,9 +21,19 @@ from .network import AdaptKanNet
 
 
 def dynamics_f(X) -> np.ndarray:
-    """Drift term (x2^3, -x1^3) for a batch of states."""
+    """Drift term (x2^3, -x1^3) for a batch of states, shape (K, 2).
+
+    Cubes by multiplication: numpy's ``** 3`` goes through ``pow``, about
+    ten times slower, and this runs twice per RK4 stage.  The two roundings
+    keep the result within 2 eps relative of ``pow``'s.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.stack([X[:, 1] ** 3, -X[:, 0] ** 3], axis=1)
+    cube = X * X
+    cube *= X
+    out = np.empty_like(cube)
+    out[:, 0] = cube[:, 1]
+    np.negative(cube[:, 0], out=out[:, 1])
+    return out
 
 
 DYNAMICS_G = np.array([1.0, 0.0])
@@ -47,15 +57,21 @@ def lie_derivatives(X, grad) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sontag_control(LfV, LgV, eps: float = 1e-8):
-    """Universal stabilising feedback; zero where LgV vanishes (|LgV| <= eps)."""
+    """Universal stabilising feedback; zero where LgV vanishes (|LgV| <= eps).
+
+    Elsewhere u = -(LfV + sqrt(LfV^2 + LgV^4)) / LgV, with LgV^4 taken as
+    (LgV^2)^2.  The whole batch runs through the formula, the inactive
+    entries as LfV = 0, LgV = 1, so a discarded non-finite LfV or a
+    vanishing LgV raises no floating-point warning.
+    """
     LfV = np.asarray(LfV, dtype=float)
     LgV = np.asarray(LgV, dtype=float)
-    scalar = LfV.ndim == 0
-    LfV, LgV = np.atleast_1d(LfV), np.atleast_1d(LgV)
-    u = np.zeros_like(LfV)
     active = np.abs(LgV) > eps
-    u[active] = -(LfV[active] + np.sqrt(LfV[active] ** 2 + LgV[active] ** 4)) / LgV[active]
-    return float(u[0]) if scalar else u
+    f = np.where(active, LfV, 0.0)
+    g = np.where(active, LgV, 1.0)
+    g2 = g * g
+    u = np.where(active, -(f + np.sqrt(f * f + g2 * g2)) / g, 0.0)
+    return float(u) if u.ndim == 0 else u
 
 
 def make_sontag_controller(v_and_grad, eps: float = 1e-8):
@@ -87,7 +103,7 @@ def simulate(x0, u_fn=None, horizon: float = 10.0, dt: float = 0.01,
     def rhs(S):
         dS = dynamics_f(S)
         if u_fn is not None:
-            dS = dS + np.atleast_1d(u_fn(S))[:, None] * DYNAMICS_G
+            dS += np.atleast_1d(u_fn(S))[:, None] * DYNAMICS_G
         return dS
 
     path = np.empty((steps + 1, K, 2)) if return_path else None

@@ -24,7 +24,10 @@ def create_histogram(samples, dom: GridDomain) -> np.ndarray:
     if samples.size == 0:
         return np.zeros(dom.omega)
     idx = (samples - dom.a) * (dom.omega / (dom.b - dom.a))
-    idx = np.clip(idx.astype(np.int64), 0, dom.omega - 1)
+    # ufunc clamps: np.clip on an integer array builds two np.iinfo per call
+    idx = idx.astype(np.int64)
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, dom.omega - 1, out=idx)
     return np.bincount(idx, minlength=dom.omega).astype(float)
 
 

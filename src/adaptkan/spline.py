@@ -128,14 +128,26 @@ def basis(z, a, d, omega: int, order: int = 0, clamp_theta: bool = True):
     spline as a constant outside [a, b]; without it the edge segments
     extrapolate.  Derivative windows are zero outside [a, b].
     """
+    # Runs per layer per training step, where np.clip's Python wrapper and
+    # np.stack cost more than the arithmetic, hence the in-place ufunc
+    # clamps and one preallocated powers array.  The windows must stay
+    # bitwise equal to the clip/stack form (signed zeros aside): training
+    # follows the exact trajectory, so the same products and sums are kept.
     u = (np.asarray(z, dtype=float) - a) / d
-    bins = np.clip(np.floor(u), 0, omega - 1)
+    bins = np.floor(u)
+    np.maximum(bins, 0.0, out=bins)
+    np.minimum(bins, omega - 1, out=bins)
     theta = u - bins
     if clamp_theta:
-        theta = np.clip(theta, 0.0, 1.0)
-    t2 = theta * theta
-    pows = np.stack([t2 * theta, t2, theta, np.ones_like(theta)], axis=-1).reshape(-1, 4)
-    shape = theta.shape + (4,)
+        np.maximum(theta, 0.0, out=theta)
+        np.minimum(theta, 1.0, out=theta)
+    shape = u.shape + (4,)
+    pows = np.empty(shape)
+    t2 = np.multiply(theta, theta, out=pows[..., 1])
+    np.multiply(t2, theta, out=pows[..., 0])
+    pows[..., 2] = theta
+    pows[..., 3] = 1.0
+    pows = pows.reshape(-1, 4)
     Cs = [(pows @ _WINDOW_MATS[0]).reshape(shape)]
     if order:
         outside = ~((u >= 0.0) & (u <= omega))

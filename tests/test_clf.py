@@ -1,5 +1,7 @@
 """Lyapunov candidates, Sontag control, RK4 simulation, conformal statistics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,46 @@ def test_sontag_formula_cases():
 
 def test_dynamics_drift():
     np.testing.assert_array_equal(dynamics_f([[1.0, 2.0]]), [[8.0, -1.0]])
+    assert dynamics_f([1.0, 2.0]).shape == (1, 2)
+
+
+def test_dynamics_drift_matches_pow():
+    # two roundings of x * x * x against pow's one: at most 2 eps relative
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((20_000, 2)) * 10.0 ** rng.uniform(-5, 100, (20_000, 2))
+    F = dynamics_f(X)
+    assert F.shape == X.shape
+    np.testing.assert_allclose(F, np.stack([X[:, 1] ** 3, -X[:, 0] ** 3], axis=1),
+                               rtol=2 * np.finfo(float).eps, atol=0.0)
+
+
+def test_sontag_zero_where_lgv_vanishes():
+    eps = 1e-8
+    rng = np.random.default_rng(4)
+    LgV = np.concatenate([[0.0, -0.0, eps, -eps, np.nextafter(eps, 1.0), -2 * eps],
+                          rng.standard_normal(1000) * 10.0 ** rng.uniform(-10, 3, 1000)])
+    LfV = rng.standard_normal(len(LgV)) * 10.0 ** rng.uniform(-3, 3, len(LgV))
+    u = sontag_control(LfV, LgV, eps)
+    active = np.abs(LgV) > eps
+    assert not active[:4].any() and active[4:6].all()
+    assert (u[~active] == 0.0).all()
+    # LgV^4 as (LgV^2)^2: against pow's LgV**4 the two differ by up to 2 eps,
+    # which LfV < 0 amplifies where LfV + sqrt(LfV^2 + LgV^4) nearly cancels
+    f, g = LfV[active], LgV[active]
+    np.testing.assert_allclose(u[active], -(f + np.sqrt(f**2 + (g**2) ** 2)) / g,
+                               rtol=1e-15, atol=0.0)
+    assert type(sontag_control(1.0, 2.0)) is float
+    assert type(sontag_control(np.float64(1.0), 0.0)) is float
+
+
+def test_sontag_nonfinite_drift_where_lgv_vanishes_is_silent():
+    LfV = np.array([np.inf, -np.inf, np.nan, 1.0])
+    LgV = np.array([0.0, 0.0, 0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = sontag_control(LfV, LgV)
+        assert sontag_control(-np.inf, 0.0) == 0.0
+    np.testing.assert_array_equal(u, [0.0, 0.0, 0.0, -(1.0 + np.sqrt(2.0))])
 
 
 def test_uncontrolled_conservation():

@@ -7,6 +7,10 @@ kernel replaced.  Both are exact in real arithmetic and differ in float64
 only in summation order, so the tolerance is fixed from the dtype, not from
 observed errors: rtol 1e-10, plus an absolute floor of 1e-12 times the
 largest reference magnitude (at least 1) for entries that cancel to ~0.
+
+The window basis itself must not move at all (training follows its exact
+trajectory), so ``spline.basis`` is compared with ``np.array_equal`` against
+the np.clip / np.stack form it replaced.
 """
 
 import numpy as np
@@ -14,7 +18,7 @@ import pytest
 
 from adaptkan import network
 from adaptkan.network import init_network, sparsity_penalty
-from adaptkan.spline import M_CUBIC, GridDomain
+from adaptkan.spline import _WINDOW_MATS, M_CUBIC, GridDomain, basis
 
 
 def close(new, ref):
@@ -65,6 +69,27 @@ def ref_layer_eval(layer, Z):
     cache = {"Z": Z, "idx": idx, "C": C, "C1": C1, "S": S, "Sp": Sp,
              "phi": phi, "dphi": dphi, "ddphi": ddphi}
     return phi.sum(axis=1), cache
+
+
+def ref_basis(z, a, d, omega, order=0, clamp_theta=True):
+    """``spline.basis`` in its np.clip / np.stack form; windows must match bitwise."""
+    u = (np.asarray(z, dtype=float) - a) / d
+    bins = np.clip(np.floor(u), 0, omega - 1)
+    theta = u - bins
+    if clamp_theta:
+        theta = np.clip(theta, 0.0, 1.0)
+    t2 = theta * theta
+    pows = np.stack([t2 * theta, t2, theta, np.ones_like(theta)], axis=-1).reshape(-1, 4)
+    shape = theta.shape + (4,)
+    Cs = [(pows @ _WINDOW_MATS[0]).reshape(shape)]
+    if order:
+        outside = ~((u >= 0.0) & (u <= omega))
+        d = np.asarray(d, dtype=float)[..., None]
+        for o in range(1, order + 1):
+            Co = (pows @ _WINDOW_MATS[o]).reshape(shape) / d**o
+            Co[outside] = 0.0
+            Cs.append(Co)
+    return bins.astype(np.int64), Cs
 
 
 def ref_scatter(layer, idx, V):
@@ -238,3 +263,35 @@ def test_kernel_matches_reference_one_row_per_block(monkeypatch):
     monkeypatch.setattr(network, "BLOCK_ELEMS", 1)
     net = make_net([3, 4, 2], 10, seed=9)
     check_against_reference(net, inputs(net, 11, seed=9), seed=9)
+
+
+def window_inputs(a, b, omega):
+    """Knots, the domain ends, their neighbours just outside, +-1e6, -0.0, random."""
+    knots = np.linspace(a, b, omega + 1)
+    edges = [np.nextafter(a, -np.inf), np.nextafter(b, np.inf), -1e6, 1e6, -0.0]
+    rng = np.random.default_rng(omega)
+    return np.concatenate([knots, edges, rng.uniform(a - 1.0, b + 1.0, 40)])
+
+
+def assert_same_windows(z, a, d, omega, order, clamp_theta):
+    bins, Cs = basis(z, a, d, omega, order, clamp_theta)
+    bins_r, Cs_r = ref_basis(z, a, d, omega, order, clamp_theta)
+    assert np.array_equal(bins, bins_r)
+    assert len(Cs) == len(Cs_r) == order + 1
+    for C, C_r in zip(Cs, Cs_r):
+        assert np.array_equal(C, C_r)
+
+
+@pytest.mark.parametrize("clamp_theta", [True, False])
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("omega", [1, 3, 10, 50])
+def test_basis_windows_match_reference_bitwise(omega, order, clamp_theta):
+    # scalar a and d; with a = 0 the input -0.0 lands on a
+    for a, b in ((0.0, 1.0), (-1.3, 0.7)):
+        z = window_inputs(a, b, omega)[:, None]
+        assert_same_windows(z, a, (b - a) / omega, omega, order, clamp_theta)
+    # per-feature a and d: each column holds its own feature's special points
+    a = np.array([-1.3, 0.0, 2.5])
+    b = np.array([0.7, 1.0, 9.0])
+    z = np.stack([window_inputs(lo, hi, omega) for lo, hi in zip(a, b)], axis=1)
+    assert_same_windows(z, a, (b - a) / omega, omega, order, clamp_theta)
