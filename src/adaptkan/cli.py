@@ -32,7 +32,7 @@ from .model_io import load_model, save_model
 from .network import NonFiniteError, init_network
 from .ood import DEFAULT_BINS_HIST, OodScorer, auroc
 from .optim import TrainPlan, train
-from .tasks import generate, get_task, load_dataset, rmse
+from .tasks import generate, get_task, load_dataset, read_table, rmse, write_table
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -59,19 +59,13 @@ def _require(cfg: dict, key: str):
 
 
 def _write_csv(path, header, rows) -> None:
+    """Write a small mixed table (ints, floats, empty cells); numeric tables
+    go through :func:`write_table`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-
-
-def _read_matrix(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        rows = [[float(v) for v in row] for row in reader]
-    return np.asarray(rows, dtype=float)
 
 
 def _build_net(cfg: dict, shape, seed: int):
@@ -148,42 +142,25 @@ def cmd_eval(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_ood_fit(args) -> int:
-    X = _read_matrix(args.features)
+    X = read_table(args.features)
     scorer = OodScorer.fit(X, bins=args.bins)
-    doc = {
-        "bins": scorer.n_bins,
-        "lo": scorer.lo.tolist(),
-        "hi": scorer.hi.tolist(),
-        "counts": scorer.counts.tolist(),
-        "msp_lambda": scorer.msp_lambda,
-        "bounds_from_data": scorer.bounds_from_data,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=1)
+    scorer.save(args.out)
     print(f"fitted {scorer.n_features} feature histograms with {scorer.n_bins} bins")
     return EXIT_OK
 
 
-def _load_scorer(path) -> OodScorer:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return OodScorer(doc["lo"], doc["hi"], doc["counts"],
-                     msp_lambda=doc.get("msp_lambda", 0.1),
-                     bounds_from_data=doc.get("bounds_from_data", False))
-
-
 def cmd_ood_score(args) -> int:
-    scorer = _load_scorer(args.scorer)
-    X = _read_matrix(args.features)
+    scorer = OodScorer.load(args.scorer)
+    X = read_table(args.features)
     scores = scorer.score_hist(X)
-    _write_csv(args.out, ["score"], [[float(s)] for s in scores])
+    write_table(args.out, ["score"], scores)
     print(f"scored {len(scores)} rows")
     return EXIT_OK
 
 
 def cmd_ood_auroc(args) -> int:
-    id_scores = _read_matrix(args.id_scores)[:, 0]
-    ood_scores = _read_matrix(args.ood_scores)[:, 0]
+    id_scores = read_table(args.id_scores)[:, 0]
+    ood_scores = read_table(args.ood_scores)[:, 0]
     print(repr(auroc(id_scores, ood_scores)))
     return EXIT_OK
 
@@ -237,22 +214,22 @@ def cmd_clf_simulate(args) -> int:
     if args.paths_out:
         finals, ok, path = simulate(x0, controller, horizon=args.horizon,
                                     dt=args.dt, return_path=True)
-        rows = []
-        for t in range(path.shape[0]):
-            for k in range(path.shape[1]):
-                rows.append([float(t * args.dt), k,
-                             float(path[t, k, 0]), float(path[t, k, 1])])
-        _write_csv(args.paths_out, ["time", "trajectory", "x1", "x2"], rows)
+        steps, K = path.shape[:2]
+        write_table(args.paths_out, ["time", "trajectory", "x1", "x2"],
+                    np.column_stack([np.repeat(np.arange(steps) * args.dt, K),
+                                     np.tile(np.arange(K), steps),
+                                     path.reshape(-1, 2)]),
+                    int_columns=(1,))
     else:
         finals, ok = simulate(x0, controller, horizon=args.horizon, dt=args.dt)
     dists = final_distances(finals, ok)
-    _write_csv(args.out, ["final_distance"], [[float(r)] for r in np.sort(dists)])
+    write_table(args.out, ["final_distance"], np.sort(dists))
     print(f"simulated {len(dists)} trajectories, {int((~ok).sum())} failures")
     return EXIT_OK
 
 
 def cmd_clf_conformal(args) -> int:
-    dists = _read_matrix(args.report)[:, 0]
+    dists = read_table(args.report)[:, 0]
     report = ConformalReport(dists)
     if args.C is not None:
         print(repr(report.confidence(args.C)))

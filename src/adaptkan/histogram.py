@@ -53,8 +53,10 @@ class FeatureHistogram:
         self.ood_hist = np.zeros(2) if ood_hist is None else np.asarray(ood_hist, dtype=float).copy()
         self.ood_a = dom.a if ood_a is None else float(ood_a)
         self.ood_b = dom.b if ood_b is None else float(ood_b)
-        if len(self.hist) != dom.omega:
-            raise ValueError(f"hist length {len(self.hist)} != omega {dom.omega}")
+        if self.hist.shape != (dom.omega,):
+            raise ValueError(f"hist shape {self.hist.shape} != ({dom.omega},)")
+        if self.ood_hist.shape != (2,):
+            raise ValueError(f"ood_hist shape {self.ood_hist.shape} != (2,)")
 
     def total(self) -> float:
         """Total EMA count including the out-of-domain tallies."""

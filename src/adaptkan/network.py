@@ -111,6 +111,16 @@ class AdaptKanLayer:
         self.w_s = np.asarray(w_s, dtype=float)
         self.w_b = np.asarray(w_b, dtype=float)
         self.use_base = use_base
+        if len(self.domains) != n or len(self.hists) != n:
+            raise ValueError(f"layer {n}->{m}: {len(self.domains)} domains and "
+                             f"{len(self.hists)} histograms for {n} features")
+        if len({(dom.omega, dom.k) for dom in self.domains}) != 1:
+            raise ValueError(f"layer {n}->{m}: features differ in omega or k")
+        P = self.domains[0].n_coef
+        for name, arr, shape in (("coef", self.coef, (n, m, P)),
+                                 ("w_s", self.w_s, (n, m)), ("w_b", self.w_b, (n, m))):
+            if arr.shape != shape:
+                raise ValueError(f"layer {n}->{m}: {name} has shape {arr.shape}, need {shape}")
 
     @property
     def omega(self) -> int:

@@ -10,6 +10,8 @@ of a classifier's logits.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .histogram import PROB_FLOOR
@@ -35,6 +37,30 @@ class OodScorer:
             raise ValueError("counts must be (n_features, n_bins)")
         if np.any(self.counts.sum(axis=1) <= 0):
             raise ValueError("every feature histogram needs positive total count")
+        if self.lo.shape != (self.n_features,) or self.hi.shape != (self.n_features,):
+            raise ValueError(f"lo and hi need one bound per feature ({self.n_features})")
+
+    def save(self, path) -> None:
+        """Write the scorer as JSON; :meth:`load` reads it back bitwise."""
+        doc = {
+            "bins": self.n_bins,
+            "lo": self.lo.tolist(),
+            "hi": self.hi.tolist(),
+            "counts": self.counts.tolist(),
+            "msp_lambda": self.msp_lambda,
+            "bounds_from_data": self.bounds_from_data,
+        }
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1)
+
+    @classmethod
+    def load(cls, path) -> "OodScorer":
+        """Read a scorer written by :meth:`save`."""
+        with open(path) as fh:
+            doc = json.load(fh)
+        return cls(doc["lo"], doc["hi"], doc["counts"],
+                   msp_lambda=doc.get("msp_lambda", DEFAULT_MSP_LAMBDA),
+                   bounds_from_data=doc.get("bounds_from_data", False))
 
     @property
     def n_features(self) -> int:
@@ -74,6 +100,8 @@ class OodScorer:
     def feature_probs(self, X) -> np.ndarray:
         """Normalised bin values per (sample, feature), floored at PROB_FLOOR."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.n_features:
+            raise ValueError(f"{X.shape[1]} features for a scorer of {self.n_features}")
         width = (self.hi - self.lo) / self.n_bins
         idx = np.clip(np.floor((X - self.lo) / width), 0, self.n_bins - 1).astype(int)
         totals = self.counts.sum(axis=1)

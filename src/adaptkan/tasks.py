@@ -1,4 +1,5 @@
-"""Dataset generation for symbolic-regression targets and corruption hooks.
+"""Dataset generation for symbolic-regression targets, corruption hooks, and
+the CSV reader and writer behind every numeric table the CLI reads or writes.
 
 Ships a small catalogue of dimensionless physics formulas with input ranges
 chosen to stay clear of singularities (denominators bounded away from zero,
@@ -10,6 +11,7 @@ training epochs with scaled Gaussian noise, leaving the labels untouched.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,24 +124,62 @@ def poison(stream, plan: PoisonPlan):
         yield epoch, Xc, yc
 
 
+def read_table(path) -> np.ndarray:
+    """Read a numeric CSV table with a one-line header into an (N, k) array.
+
+    Parsed by ``np.loadtxt``'s C reader with correctly rounded conversion,
+    so values written by :func:`write_table` come back bitwise.  The file
+    needs a header and at least one data row, every data row has as many
+    fields as the header, cells may be double-quoted, and empty lines are
+    skipped.  Anything else (an empty or non-numeric cell, a ragged row, a
+    ``#`` line) raises ``ValueError`` naming the path.
+    """
+    with open(path) as fh:
+        header = next(csv.reader([fh.readline()]))
+        if not header:
+            raise ValueError(f"malformed CSV {path}: no header line")
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported below, not as a warning
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, dtype=float, delimiter=",", comments=None,
+                                  quotechar='"', ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"malformed CSV {path}: {exc}") from None
+    if len(data) == 0:
+        raise ValueError(f"malformed CSV {path}: no data rows")
+    if data.shape[1] != len(header):
+        raise ValueError(f"malformed CSV {path}: {data.shape[1]} fields per row "
+                         f"for {len(header)} header fields")
+    return data
+
+
+def write_table(path, header, data, int_columns=()) -> None:
+    """Write a numeric table as CSV in one call: header, then one row per row.
+
+    ``data`` is a column (N,) or a matrix (N, k).  Floats are written as
+    their shortest round-trip ``repr``, the columns in ``int_columns`` as
+    integers, with CRLF line endings: the bytes ``csv.writer`` gives for the
+    same rows.
+    """
+    data = np.asarray(data, dtype=float)
+    if data.ndim == 1:
+        data = data[:, None]
+    row = ",".join("%d" if j in int_columns else "%r" for j in range(data.shape[1]))
+    body = ((row + "\r\n") * len(data)) % tuple(data.ravel().tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + body)
+
+
 def save_dataset(path, X, y) -> None:
     """Write features-then-target CSV with a one-line header."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(X.shape[1])] + ["target"])
-        for row, t in zip(X, y):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(t))])
+    write_table(path, [f"x{j}" for j in range(X.shape[1])] + ["target"],
+                np.column_stack([X, y]))
 
 
 def load_dataset(path):
     """Read a dataset CSV back into (X, y)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ValueError(f"malformed dataset file {path}")
+    data = read_table(path)
     return data[:, :-1], data[:, -1]

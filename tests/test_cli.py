@@ -221,3 +221,86 @@ def test_model_version_check(tmp_path):
     path.write_text(json.dumps({"format_version": 99}))
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def _one_line_config_error(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_ood_fit_on_empty_file_exits_2(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["ood", "fit", "--features", str(empty),
+                 "--out", str(tmp_path / "s.json")]) == 2
+    _one_line_config_error(capsys, empty)
+
+
+def test_clf_conformal_on_header_only_report_exits_2(tmp_path, capsys):
+    report = tmp_path / "r.csv"
+    report.write_text("final_distance\r\n")
+    assert main(["clf", "conformal", "--report", str(report), "--C", "0.5"]) == 2
+    _one_line_config_error(capsys, report)
+
+
+def test_ood_auroc_on_header_only_scores_exits_2(tmp_path, capsys):
+    good, bare = tmp_path / "good.csv", tmp_path / "bare.csv"
+    good.write_text("score\r\n-1.5\r\n")
+    bare.write_text("score\r\n")
+    assert main(["ood", "auroc", "--id", str(good), "--ood", str(bare)]) == 2
+    _one_line_config_error(capsys, bare)
+
+
+def _saved_model(tmp_path, shape, seed=2):
+    path = tmp_path / "m.json"
+    save_model(init_network(shape, seed=seed), path)
+    return path, json.loads(path.read_text())
+
+
+def test_eval_rejects_truncated_coef(tmp_path, capsys):
+    from adaptkan.tasks import save_dataset
+    path, doc = _saved_model(tmp_path, [2, 3, 1])
+    doc["layers"][0]["coef"] = doc["layers"][0]["coef"][:1]  # (2, 3, 6) -> (1, 3, 6)
+    path.write_text(json.dumps(doc))
+    data = tmp_path / "d.csv"
+    save_dataset(data, np.zeros((4, 2)), np.zeros(4))
+    assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "coef" in err and err.count("\n") == 1
+
+
+def _bad_hist_length(doc):
+    doc["layers"][0]["features"][1]["hist"]["hist"].append(0.0)
+
+
+def _bad_ood_hist_length(doc):
+    doc["layers"][1]["features"][0]["hist"]["ood_hist"].append(0.0)
+
+
+def _mixed_omega(doc):
+    feat = doc["layers"][0]["features"][1]
+    feat["domain"]["omega"] = 5
+    feat["hist"]["hist"] = [0.0] * 5
+
+
+def _extra_feature(doc):
+    layer = doc["layers"][1]
+    layer["features"].append(layer["features"][0])
+
+
+def _widths_do_not_chain(doc):
+    # layer 0 still declares m = 3, but its arrays are 4 wide
+    wide = init_network([2, 4, 1], seed=2).layers[0]
+    doc["layers"][0].update(coef=wide.coef.tolist(), w_s=wide.w_s.tolist(),
+                            w_b=wide.w_b.tolist())
+
+
+@pytest.mark.parametrize("corrupt", [_bad_hist_length, _bad_ood_hist_length, _mixed_omega,
+                                     _extra_feature, _widths_do_not_chain])
+def test_load_model_rejects_inconsistent_shapes(tmp_path, corrupt):
+    path, doc = _saved_model(tmp_path, [2, 3, 1])
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        load_model(path)

@@ -1,4 +1,6 @@
-"""Histogram OOD scoring and AUROC evaluation."""
+"""Histogram OOD scoring, scorer files, and AUROC evaluation."""
+
+import json
 
 import numpy as np
 import pytest
@@ -114,3 +116,32 @@ def test_separated_gaussians_auroc():
     id_scores = scorer.score_hist(rng.normal(0.0, 1.0, size=(1000, 8)))
     ood_scores = scorer.score_hist(rng.normal(3.0, 1.0, size=(1000, 8)))
     assert auroc(id_scores, ood_scores) >= 0.95
+
+
+def test_save_load_roundtrip_keeps_the_file_format(tmp_path):
+    rng = np.random.default_rng(8)
+    scorer = OodScorer.fit(rng.normal(size=(300, 3)), bins=17, msp_lambda=0.25)
+    path = tmp_path / "scorer.json"
+    scorer.save(path)
+    # the document the CLI has always written
+    doc = {"bins": 17, "lo": scorer.lo.tolist(), "hi": scorer.hi.tolist(),
+           "counts": scorer.counts.tolist(), "msp_lambda": 0.25, "bounds_from_data": True}
+    assert path.read_text() == json.dumps(doc, indent=1)
+    loaded = OodScorer.load(path)
+    for name in ("lo", "hi", "counts"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(scorer, name))
+    assert (loaded.msp_lambda, loaded.bounds_from_data) == (0.25, True)
+    Q = rng.normal(size=(40, 3))
+    np.testing.assert_array_equal(loaded.score_hist(Q), scorer.score_hist(Q))
+    del doc["msp_lambda"], doc["bounds_from_data"]
+    path.write_text(json.dumps(doc))
+    loaded = OodScorer.load(path)
+    assert (loaded.msp_lambda, loaded.bounds_from_data) == (0.1, False)
+
+
+def test_scorer_rejects_mismatched_widths():
+    with pytest.raises(ValueError):
+        OodScorer([0.0], [1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]])
+    scorer = OodScorer.fit(np.random.default_rng(9).normal(size=(50, 3)), bins=4)
+    with pytest.raises(ValueError):
+        scorer.score_hist(np.zeros((5, 1)))

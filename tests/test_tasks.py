@@ -1,9 +1,12 @@
-"""Symbolic-regression targets, sampling, metrics, and data poisoning."""
+"""Symbolic-regression targets, sampling, metrics, data poisoning, CSV tables."""
+
+import csv
 
 import numpy as np
 import pytest
 import sympy
 
+from adaptkan.cli import main
 from adaptkan.tasks import (
     TASKS,
     PoisonPlan,
@@ -12,8 +15,10 @@ from adaptkan.tasks import (
     load_dataset,
     poison,
     poison_hook,
+    read_table,
     rmse,
     save_dataset,
+    write_table,
 )
 
 # independent route for every formula (different library, different
@@ -142,3 +147,132 @@ def test_dataset_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(y, y2)
     header = path.read_text().splitlines()[0]
     assert header == "x0,x1,x2,target"
+
+
+# ----------------------------------------------------------------------
+# CSV tables: the per-row csv.writer / float() codec they replaced is the
+# oracle, so files and parsed values must stay byte- and bit-identical
+# ----------------------------------------------------------------------
+
+SPECIAL = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+           np.inf, -np.inf, np.nan, 0.1, 1.0 / 3.0]
+
+
+def oracle_write(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
+def oracle_read(path):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = [[float(v) for v in row] for row in reader]
+    return np.asarray(rows, dtype=float)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def mixed_matrix(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-300, 300, size=(rows, cols))
+    X.flat[:len(SPECIAL)] = SPECIAL
+    return X
+
+
+def test_write_table_column_matches_oracle(tmp_path):
+    scores = mixed_matrix(200, 1, 0)[:, 0]
+    write_table(tmp_path / "new.csv", ["score"], scores)
+    oracle_write(tmp_path / "old.csv", ["score"], [[float(s)] for s in scores])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_save_dataset_matches_oracle(tmp_path):
+    X = mixed_matrix(100, 3, 1)
+    y = mixed_matrix(100, 1, 2)[::-1, 0]
+    save_dataset(tmp_path / "new.csv", X, y)
+    oracle_write(tmp_path / "old.csv", ["x0", "x1", "x2", "target"],
+                 [[float(v) for v in row] + [float(t)] for row, t in zip(X, y)])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_table_int_column_matches_oracle(tmp_path):
+    # the --paths-out layout: time, integer trajectory index, two states
+    dt, steps, K = 0.01, 7, 5
+    path = mixed_matrix(steps * K, 2, 3).reshape(steps, K, 2)
+    write_table(tmp_path / "new.csv", ["time", "trajectory", "x1", "x2"],
+                np.column_stack([np.repeat(np.arange(steps) * dt, K),
+                                 np.tile(np.arange(K), steps), path.reshape(-1, 2)]),
+                int_columns=(1,))
+    oracle_write(tmp_path / "old.csv", ["time", "trajectory", "x1", "x2"],
+                 [[float(t * dt), k, float(path[t, k, 0]), float(path[t, k, 1])]
+                  for t in range(steps) for k in range(K)])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_special_values_roundtrip_bitwise(tmp_path):
+    X = np.array([SPECIAL, SPECIAL[::-1]])
+    write_table(tmp_path / "t.csv", [f"f{j}" for j in range(X.shape[1])], X)
+    np.testing.assert_array_equal(bits(read_table(tmp_path / "t.csv")), bits(X))
+    write_table(tmp_path / "c.csv", ["score"], SPECIAL)
+    got = read_table(tmp_path / "c.csv")
+    assert got.shape == (len(SPECIAL), 1)
+    np.testing.assert_array_equal(bits(got[:, 0]), bits(SPECIAL))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (300, 1), (150, 8)])
+def test_read_table_matches_oracle_on_oracle_files(tmp_path, shape):
+    X = mixed_matrix(*shape, seed=shape[0] + shape[1])
+    path = tmp_path / "m.csv"
+    oracle_write(path, [f"f{j}" for j in range(shape[1])], [[float(v) for v in row] for row in X])
+    np.testing.assert_array_equal(bits(read_table(path)), bits(oracle_read(path)))
+
+
+def test_read_table_matches_float_on_long_decimals(tmp_path):
+    # correctly rounded parsing beyond 17 significant digits
+    rng = np.random.default_rng(7)
+    cells = [f"{rng.integers(1, 10)}.{rng.integers(0, 10**18):018d}{rng.integers(0, 10**9):09d}"
+             f"e{rng.integers(-320, 309)}" for _ in range(400)]
+    path = tmp_path / "long.csv"
+    path.write_text("v\n" + "\n".join(cells) + "\n")
+    np.testing.assert_array_equal(bits(read_table(path)[:, 0]), bits([float(c) for c in cells]))
+
+
+def test_read_table_accepts_quotes_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "q.csv"
+    path.write_text('"a","b"\r\n"1.5",2\r\n\r\n3, 4 \r\n')
+    np.testing.assert_array_equal(read_table(path), [[1.5, 2.0], [3.0, 4.0]])
+
+
+MALFORMED = {
+    "empty": "",
+    "header_only": "a,b\r\n",
+    "ragged": "a,b\n1,2\n3\n",
+    "non_numeric": "a,b\n1,x\n",
+    "empty_cell": "a,b\n1,\n",
+    "trailing_comma": "a,b\n1,2,\n",
+    "header_width": "a,b,c\n1,2\n3,4\n",
+    "comment": "a,b\n1,2\n# 3,4\n",
+    "underscore": "a\n1_000\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_read_table_rejects_malformed(tmp_path, capsys, case):
+    path = tmp_path / f"{case}.csv"
+    path.write_text(MALFORMED[case])
+    with pytest.raises(ValueError, match=f"{case}.csv"):
+        read_table(path)
+    with pytest.raises(ValueError, match=f"{case}.csv"):
+        load_dataset(path)
+    capsys.readouterr()
+    assert main(["ood", "fit", "--features", str(path), "--out", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{case}.csv" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "s.json").exists()
