@@ -41,14 +41,12 @@ from .spline import (
     activation_dw,
     activation_dz,
     basis_matrix,
-    bin_index,
     eval_activation,
     greville_abscissae,
-    interp_value,
     refine_grid,
     refit_greville,
     refit_least_squares,
 )
-from .tasks import PoisonPlan, SymbolicTask, generate, get_task, poison, poison_hook, rmse
+from .tasks import PoisonPlan, SymbolicTask, generate, get_task, poison_hook, rmse
 
 __version__ = "0.1.0"

@@ -55,6 +55,14 @@ class AdaptConfig:
         if self.refit_mode not in REFIT_MODES:
             raise ValueError(f"refit_mode must be one of {REFIT_MODES}")
 
+    @classmethod
+    def from_dict(cls, fields) -> "AdaptConfig":
+        """Build from a JSON ``adapt`` object; a malformed one raises ValueError."""
+        try:
+            return cls(**fields)
+        except TypeError as exc:  # not a mapping, unknown key, or a mistyped value
+            raise ValueError(f"malformed adapt block: {exc}") from None
+
 
 @dataclass
 class Decision:
@@ -128,6 +136,13 @@ def decide(h: FeatureHistogram, cfg: AdaptConfig) -> Decision:
     return decision
 
 
+def _refit_weights(coef, dom: GridDomain, new_dom: GridDomain, cfg: AdaptConfig):
+    """Weight rows of one feature re-expressed on new_dom by cfg.refit_mode."""
+    if cfg.refit_mode == "exact_lsq":
+        return refit_least_squares(coef, dom, new_dom)[0]
+    return refit_greville(coef, dom, new_dom)
+
+
 def apply_adapt(dom: GridDomain, coef: np.ndarray, hist: FeatureHistogram,
                 decision: Decision, cfg: AdaptConfig):
     """Apply a decision to one feature's (domain, weight rows, histogram).
@@ -140,10 +155,7 @@ def apply_adapt(dom: GridDomain, coef: np.ndarray, hist: FeatureHistogram,
     if decision.kind == "none":
         return dom, coef, hist
     new_dom = GridDomain(decision.a, decision.b, dom.omega, dom.k)
-    if cfg.refit_mode == "exact_lsq":
-        new_coef, _ = refit_least_squares(coef, dom, new_dom)
-    else:
-        new_coef = refit_greville(coef, dom, new_dom)
+    new_coef = _refit_weights(coef, dom, new_dom, cfg)
     new_hist = hist.refit(new_dom)
     if decision.kind == "stretch":
         new_hist.ood_a = new_dom.a
@@ -165,10 +177,7 @@ def manual_adapt(dom: GridDomain, coef: np.ndarray, hist: FeatureHistogram,
     if lo == hi:
         lo, hi = lo - 1e-6, hi + 1e-6
     new_dom = GridDomain(lo, hi, dom.omega, dom.k)
-    if cfg.refit_mode == "exact_lsq":
-        new_coef, _ = refit_least_squares(coef, dom, new_dom)
-    else:
-        new_coef = refit_greville(coef, dom, new_dom)
+    new_coef = _refit_weights(coef, dom, new_dom, cfg)
     new_hist = FeatureHistogram(new_dom, hist.alpha,
                                 hist=create_histogram(batch[(batch >= lo) & (batch <= hi)], new_dom))
     return new_dom, new_coef, new_hist

@@ -233,23 +233,41 @@ def clf_losses(X, v_and_grad, cfg: ClfLossConfig):
     V, grad = v_and_grad(X)
     V0, _ = v_and_grad(np.zeros((1, X.shape[1])))
     LfV, LgV = lie_derivatives(X, grad)
-    return _loss_terms_from_values(X, V, float(V0[0]), LfV, LgV, cfg)
+    return _loss_terms_from_values(X, V, float(V0[0]), LfV, LgV, cfg)[0]
+
+
+def _hinge(r):
+    """max(0, r) and its subgradient, 1 where r > 0 and 0 elsewhere."""
+    return np.maximum(0.0, r), (r > 0).astype(float)
 
 
 def _loss_terms_from_values(X, V, V0, LfV, LgV, cfg: ClfLossConfig):
+    """Loss terms, and the cotangents of the weighted total w.r.t. V0 and
+    the per-sample V, LfV and LgV (subgradients at the hinge kinks)."""
+    B = len(V)
     norms = np.linalg.norm(X, axis=1)
     mask = (LgV > cfg.tau).astype(float)
+    shifted = LgV + cfg.eps
+    below, d_below = _hinge(cfg.k1 * norms - V)
+    above, d_above = _hinge(V - cfg.k2 * norms)
+    negative, d_negative = _hinge(-V)
+    decrease, d_decrease = _hinge(-LfV)
+    increase, d_increase = _hinge(LfV)
+    small, d_small = _hinge(cfg.tau - np.abs(shifted))
     origin = V0**2
-    bowl = np.mean(np.maximum(0.0, cfg.k1 * norms - V)
-                   + np.maximum(0.0, V - cfg.k2 * norms))
-    loss_f = np.mean(mask * np.maximum(0.0, -LfV)
-                     + (1.0 - mask) * np.maximum(0.0, LfV))
-    loss_g = np.mean((1.0 - mask) * np.maximum(0.0, cfg.tau - np.abs(LgV + cfg.eps)))
-    pos = np.mean(np.maximum(0.0, -V))
+    bowl = np.mean(below + above)
+    loss_f = np.mean(mask * decrease + (1.0 - mask) * increase)
+    loss_g = np.mean((1.0 - mask) * small)
+    pos = np.mean(negative)
     total = (cfg.lam_origin * origin + cfg.lam_f * loss_f + cfg.lam_g * loss_g
              + cfg.lam_bowl * bowl + cfg.lam_pos * pos)
-    return {"origin": float(origin), "bowl": float(bowl), "f": float(loss_f),
-            "g": float(loss_g), "pos": float(pos), "total": float(total)}
+    dV0 = cfg.lam_origin * 2.0 * V0
+    dV = cfg.lam_bowl / B * (-d_below + d_above) + cfg.lam_pos / B * -d_negative
+    dLf = cfg.lam_f / B * (mask * -d_decrease + (1.0 - mask) * d_increase)
+    dLg = cfg.lam_g / B * ((1.0 - mask) * d_small) * -np.sign(shifted)
+    return ({"origin": float(origin), "bowl": float(bowl), "f": float(loss_f),
+             "g": float(loss_g), "pos": float(pos), "total": float(total)},
+            (dV0, dV, dLf, dLg))
 
 
 def clf_loss_and_grads(net: AdaptKanNet, X, cfg: ClfLossConfig, record: bool = False):
@@ -278,19 +296,7 @@ def clf_loss_and_grads(net: AdaptKanNet, X, cfg: ClfLossConfig, record: bool = F
 
     Y0, caches0 = net.forward(np.zeros((1, n)), record=False)
     V0 = Y0[0, 0] if cfg.output_mode == "direct" else 0.5 * (Y0[0] ** 2).sum()
-    terms = _loss_terms_from_values(X, V, float(V0), LfV, LgV, cfg)
-
-    norms = np.linalg.norm(X, axis=1)
-    mask = (LgV > cfg.tau).astype(float)
-    # cotangents of V, LfV, LgV
-    dV = np.zeros(B)
-    dV += cfg.lam_bowl / B * (-(cfg.k1 * norms - V > 0).astype(float)
-                              + (V - cfg.k2 * norms > 0).astype(float))
-    dV += cfg.lam_pos / B * -(V < 0).astype(float)
-    dLf = cfg.lam_f / B * (mask * -(LfV < 0).astype(float)
-                           + (1.0 - mask) * (LfV > 0).astype(float))
-    g_active = (1.0 - mask) * (cfg.tau - np.abs(LgV + cfg.eps) > 0).astype(float)
-    dLg = cfg.lam_g / B * g_active * -np.sign(LgV + cfg.eps)
+    terms, (dV0, dV, dLf, dLg) = _loss_terms_from_values(X, V, float(V0), LfV, LgV, cfg)
 
     if cfg.output_mode == "direct":
         gY = np.zeros_like(Y)
@@ -308,9 +314,9 @@ def clf_loss_and_grads(net: AdaptKanNet, X, cfg: ClfLossConfig, record: bool = F
     # origin term: d(lam * V0^2)/dtheta through a plain reverse pass
     seed0 = np.zeros_like(Y0)
     if cfg.output_mode == "direct":
-        seed0[0, 0] = cfg.lam_origin * 2.0 * V0
+        seed0[0, 0] = dV0
     else:
-        seed0[0] = cfg.lam_origin * 2.0 * V0 * Y0[0]
+        seed0[0] = dV0 * Y0[0]
     grads0, _ = net.backward(caches0, seed0)
     for g, g0 in zip(grads, grads0):
         for key in g:

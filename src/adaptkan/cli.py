@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -70,7 +71,7 @@ def _write_csv(path, header, rows) -> None:
 
 def _build_net(cfg: dict, shape, seed: int):
     init = cfg.get("init", {})
-    adapt = AdaptConfig(**cfg.get("adapt", {}))
+    adapt = AdaptConfig.from_dict(cfg.get("adapt", {}))
     return init_network(
         shape,
         mode=init.get("mode", "kan"),
@@ -245,7 +246,11 @@ def cmd_clf_conformal(args) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Subcommands name their
+    ``cmd_*`` handler, which :func:`main` looks up at each call, so a handler
+    rebound after the first call (by a tracer, say) is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="adaptkan",
         description="Self-adapting spline networks: training, OOD scoring, Lyapunov control.")
@@ -255,12 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default=".")
-    p.set_defaults(fn=cmd_train)
+    p.set_defaults(fn="cmd_train")
 
     p = sub.add_parser("eval", help="evaluate a saved model on a dataset CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.set_defaults(fn=cmd_eval)
+    p.set_defaults(fn="cmd_eval")
 
     ood_p = sub.add_parser("ood", help="histogram OOD scoring")
     ood_sub = ood_p.add_subparsers(dest="ood_command", required=True)
@@ -268,16 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--bins", type=int, default=DEFAULT_BINS_HIST)
     p.add_argument("--out", default="scorer.json")
-    p.set_defaults(fn=cmd_ood_fit)
+    p.set_defaults(fn="cmd_ood_fit")
     p = ood_sub.add_parser("score", help="score a features file")
     p.add_argument("--scorer", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", default="scores.csv")
-    p.set_defaults(fn=cmd_ood_score)
+    p.set_defaults(fn="cmd_ood_score")
     p = ood_sub.add_parser("auroc", help="AUROC from two score files")
     p.add_argument("--id", dest="id_scores", required=True)
     p.add_argument("--ood", dest="ood_scores", required=True)
-    p.set_defaults(fn=cmd_ood_auroc)
+    p.set_defaults(fn="cmd_ood_auroc")
 
     clf_p = sub.add_parser("clf", help="control-Lyapunov pipeline")
     clf_sub = clf_p.add_subparsers(dest="clf_command", required=True)
@@ -285,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default=".")
-    p.set_defaults(fn=cmd_clf_train)
+    p.set_defaults(fn="cmd_clf_train")
     p = clf_sub.add_parser("simulate", help="closed-loop trajectories and final distances")
     p.add_argument("--analytical", action="store_true")
     p.add_argument("--model", default=None)
@@ -297,12 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="report.csv")
     p.add_argument("--paths-out", default=None,
                    help="also write full trajectories (time, trajectory, x1, x2)")
-    p.set_defaults(fn=cmd_clf_simulate)
+    p.set_defaults(fn="cmd_clf_simulate")
     p = clf_sub.add_parser("conformal", help="confidence or distance bound from a report")
     p.add_argument("--report", required=True)
     p.add_argument("--C", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.set_defaults(fn=cmd_clf_conformal)
+    p.set_defaults(fn="cmd_clf_conformal")
 
     return parser
 
@@ -310,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,6 +5,9 @@ out-of-domain tallies (below a / above b) and the running extremes ever seen
 outside the domain.  Batches update the bins as an exponential moving
 average of raw counts, so a single outlier's contribution decays
 geometrically once it stops appearing.
+
+Training and OOD histograms alike count and read bins by one rule,
+:func:`histogram_bin`, so a value is read back from the bin it was counted in.
 """
 
 from __future__ import annotations
@@ -18,11 +21,39 @@ from .spline import GridDomain
 PROB_FLOOR = 1e-12
 
 
+def histogram_bin(x, a, b, omega: int):
+    """Bin of x among ``omega`` uniform bins over [a, b]: (x - a) * (omega /
+    (b - a)) truncated to an integer and clamped to [0, omega - 1], so b
+    lands in the last bin.  ``a``/``b`` may be (n,) arrays, one domain per
+    feature along the last axis of x; x must be finite.
+    """
+    idx = ((np.asarray(x, dtype=float) - a) * (omega / (b - a))).astype(np.int64)
+    return np.clip(idx, 0, omega - 1)
+
+
+def floored_prob(x, counts, a, b) -> np.ndarray:
+    """Share of its histogram's count in the bin holding each query, floored
+    at PROB_FLOOR, which queries outside [a, b] (+-inf too) and queries of an
+    empty histogram get.  ``counts`` (n, omega) holds n histograms over [a, b]
+    (scalars or (n,) arrays) for the last axis of ``x`` (..., n).  A NaN query
+    raises ValueError."""
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError("NaN in histogram query")
+    n, omega = counts.shape
+    totals = counts.sum(axis=1, keepdims=True)
+    probs = np.divide(counts, totals, out=np.zeros(counts.shape), where=totals > 0.0)
+    idx = histogram_bin(np.clip(x, a, b), a, b, omega) + omega * np.arange(n)
+    p = np.maximum(probs.ravel()[idx], PROB_FLOOR)
+    return np.where((x >= a) & (x <= b), p, PROB_FLOOR)
+
+
 def create_histogram(samples, dom: GridDomain) -> np.ndarray:
-    """Uniform-width bin counts of in-domain samples; b lands in the last bin."""
+    """Uniform-width bin counts of in-domain samples, binned by histogram_bin."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         return np.zeros(dom.omega)
+    # histogram_bin inlined: this runs per feature per training step
     idx = (samples - dom.a) * (dom.omega / (dom.b - dom.a))
     # ufunc clamps: np.clip on an integer array builds two np.iinfo per call
     idx = idx.astype(np.int64)
@@ -102,9 +133,8 @@ class FeatureHistogram:
         new_ood = self.ood_hist.copy()
         old_centers = self.dom.centers()
 
-        def bin_of(value: float) -> int:
-            return int(np.clip(np.floor((value - new_dom.a) / new_dom.d),
-                               0, new_dom.omega - 1))
+        def bin_of(value: float):
+            return histogram_bin(value, new_dom.a, new_dom.b, new_dom.omega)
 
         # left side
         if new_dom.a < self.dom.a:  # stretched
@@ -130,18 +160,7 @@ class FeatureHistogram:
         )
 
     def marginal_prob(self, x):
-        """Normalised bin value at x, floored at PROB_FLOOR; floor outside [a, b]."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        total = self.hist.sum()
-        idx = np.clip(np.floor((x - self.dom.a) / self.dom.d), 0, self.dom.omega - 1)
-        p = np.full(x.shape, PROB_FLOOR)
-        if total > 0.0:
-            inside = (x >= self.dom.a) & (x <= self.dom.b)
-            p[inside] = np.maximum(self.hist[idx[inside].astype(int)] / total, PROB_FLOOR)
-        return float(p[0]) if scalar else p
-
-    def copy(self) -> "FeatureHistogram":
-        return FeatureHistogram(self.dom, self.alpha, hist=self.hist,
-                                ood_hist=self.ood_hist, ood_a=self.ood_a, ood_b=self.ood_b)
+        """Normalised bin value at x (see :func:`floored_prob`)."""
+        p = floored_prob(np.asarray(x, dtype=float)[..., None], self.hist[None],
+                         self.dom.a, self.dom.b)[..., 0]
+        return float(p) if p.ndim == 0 else p

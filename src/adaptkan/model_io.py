@@ -84,9 +84,11 @@ def load_model(path) -> AdaptKanNet:
     """Reconstruct a network saved by :func:`save_model`."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file {path} does not hold a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    cfg = AdaptConfig(**doc["adapt"])
+    cfg = AdaptConfig.from_dict(doc["adapt"])
     net = AdaptKanNet([_layer_from_dict(d) for d in doc["layers"]], cfg)
     return net

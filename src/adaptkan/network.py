@@ -221,6 +221,8 @@ class AdaptKanNet:
         self.layers = list(layers)
         self.cfg = cfg if cfg is not None else AdaptConfig()
         self.adapt_events = 0
+        if not self.layers:
+            raise ValueError("a network needs at least one layer")
         for a, b in zip(self.layers[:-1], self.layers[1:]):
             if a.m != b.n:
                 raise ValueError(f"layer widths do not chain: {a.m} -> {b.n}")
@@ -252,21 +254,6 @@ class AdaptKanNet:
                 layer.coef[j] = coef
                 layer.hists[j] = hist
                 self.adapt_events += 1
-
-    def adapt_all(self) -> int:
-        """Run the adaptation check on every layer feature; returns event count."""
-        before = self.adapt_events
-        for layer in self.layers:
-            for j in range(layer.n):
-                decision = decide(layer.hists[j], self.cfg)
-                if decision.kind != "none":
-                    dom, coef, hist = apply_adapt(
-                        layer.domains[j], layer.coef[j], layer.hists[j], decision, self.cfg)
-                    layer.domains[j] = dom
-                    layer.coef[j] = coef
-                    layer.hists[j] = hist
-                    self.adapt_events += 1
-        return self.adapt_events - before
 
     def manual_adapt_all(self, X: np.ndarray) -> None:
         """Snap every domain to the min/max of this batch (naive baseline)."""

@@ -1,9 +1,10 @@
 """Post-hoc out-of-distribution scoring from per-feature histograms.
 
-A scorer holds one fixed histogram per input feature.  The score of a query
-is the mean over features of the log normalised bin value at that feature's
-coordinate; coordinates outside a feature's fitted range, or in empty bins,
-contribute the floored probability.  Lower scores mean more likely OOD.
+A scorer holds one fixed histogram per input feature, counted and read with
+the training histograms' bin rule (:func:`histogram.histogram_bin`).  The
+score of a query is the mean over features of the log normalised bin value
+at that feature's coordinate; coordinates outside a feature's fitted range,
+or in empty bins, contribute the floored probability.  Lower scores mean more likely OOD.
 The score can optionally be fused with the log maximum softmax probability
 of a classifier's logits.
 """
@@ -14,7 +15,7 @@ import json
 
 import numpy as np
 
-from .histogram import PROB_FLOOR
+from .histogram import floored_prob, histogram_bin
 
 DEFAULT_BINS_HIST = 200      # histogram-only scoring
 DEFAULT_BINS_HIST_MSP = 50   # histogram + max-softmax fusion
@@ -39,6 +40,8 @@ class OodScorer:
             raise ValueError("every feature histogram needs positive total count")
         if self.lo.shape != (self.n_features,) or self.hi.shape != (self.n_features,):
             raise ValueError(f"lo and hi need one bound per feature ({self.n_features})")
+        if not np.all(self.lo < self.hi):
+            raise ValueError("every feature needs lo < hi")
 
     def save(self, path) -> None:
         """Write the scorer as JSON; :meth:`load` reads it back bitwise."""
@@ -58,6 +61,8 @@ class OodScorer:
         """Read a scorer written by :meth:`save`."""
         with open(path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"scorer file {path} does not hold a JSON object")
         return cls(doc["lo"], doc["hi"], doc["counts"],
                    msp_lambda=doc.get("msp_lambda", DEFAULT_MSP_LAMBDA),
                    bounds_from_data=doc.get("bounds_from_data", False))
@@ -71,43 +76,33 @@ class OodScorer:
         return self.counts.shape[1]
 
     @classmethod
-    def fit(cls, features, bins: int = DEFAULT_BINS_HIST, bounds=None,
+    def fit(cls, features, bins: int = DEFAULT_BINS_HIST,
             msp_lambda: float = DEFAULT_MSP_LAMBDA) -> "OodScorer":
         """One-pass histograms over a (N, n_features) matrix.
 
-        Bounds default to each feature's min/max over the fit data; a
-        degenerate (constant) feature is widened by 1e-6 on each side.
-        ``bounds`` may supply explicit (lo, hi) arrays instead.
+        Bounds are each feature's min/max over the fit data; a degenerate
+        (constant) feature is widened by 1e-6 on each side.
         """
         X = np.atleast_2d(np.asarray(features, dtype=float))
         if not np.all(np.isfinite(X)):
             raise ValueError("non-finite values in fit features")
-        if bounds is None:
-            lo, hi = X.min(axis=0), X.max(axis=0)
-            degenerate = lo == hi
-            lo = np.where(degenerate, lo - 1e-6, lo)
-            hi = np.where(degenerate, hi + 1e-6, hi)
-            from_data = True
-        else:
-            lo, hi = (np.asarray(b, dtype=float) for b in bounds)
-            from_data = False
-        counts = np.stack([
-            np.histogram(X[:, j], bins=bins, range=(lo[j], hi[j]))[0].astype(float)
-            for j in range(X.shape[1])
-        ])
-        return cls(lo, hi, counts, msp_lambda=msp_lambda, bounds_from_data=from_data)
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        degenerate = lo == hi
+        lo = np.where(degenerate, lo - 1e-6, lo)
+        hi = np.where(degenerate, hi + 1e-6, hi)
+        if not np.all(lo < hi):  # beyond about 1.7e10, 1e-6 is below half an ulp
+            raise ValueError("a constant feature is too large to widen by 1e-6")
+        n = X.shape[1]
+        idx = histogram_bin(X, lo, hi, bins) + bins * np.arange(n)
+        counts = np.bincount(idx.ravel(), minlength=n * bins).reshape(n, bins)
+        return cls(lo, hi, counts, msp_lambda=msp_lambda, bounds_from_data=True)
 
     def feature_probs(self, X) -> np.ndarray:
         """Normalised bin values per (sample, feature), floored at PROB_FLOOR."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.n_features:
             raise ValueError(f"{X.shape[1]} features for a scorer of {self.n_features}")
-        width = (self.hi - self.lo) / self.n_bins
-        idx = np.clip(np.floor((X - self.lo) / width), 0, self.n_bins - 1).astype(int)
-        totals = self.counts.sum(axis=1)
-        p = self.counts[np.arange(self.n_features), idx] / totals
-        inside = (X >= self.lo) & (X <= self.hi)
-        return np.where(inside, np.maximum(p, PROB_FLOOR), PROB_FLOOR)
+        return floored_prob(X, self.counts, self.lo, self.hi)
 
     def score_hist(self, X) -> np.ndarray:
         """Mean log marginal bin probability per sample; lower = more OOD."""
@@ -121,9 +116,8 @@ class OodScorer:
         logits = np.atleast_2d(np.asarray(logits, dtype=float))
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_msp = shifted.max(axis=1) - np.log(np.exp(shifted).sum(axis=1))
-        scalar = np.asarray(X).ndim == 1
-        scores = np.log(self.feature_probs(X)).mean(axis=1) + lam * log_msp
-        return float(scores[0]) if scalar else scores
+        scores = self.score_hist(np.atleast_2d(X)) + lam * log_msp
+        return float(scores[0]) if np.asarray(X).ndim == 1 else scores
 
 
 def auroc(id_scores, ood_scores) -> float:

@@ -92,7 +92,10 @@ class TrainPlan:
     sparsity_lambda: float = 0.0
 
     def __post_init__(self):
-        self.rounds = [r if isinstance(r, Round) else Round(**r) for r in self.rounds]
+        try:
+            self.rounds = [r if isinstance(r, Round) else Round(**r) for r in self.rounds]
+        except TypeError as exc:  # a round that is not a mapping of Round's fields
+            raise ValueError(f"malformed round: {exc}") from None
         omegas = [r.omega for r in self.rounds]
         if any(b < a for a, b in zip(omegas, omegas[1:])):
             raise ValueError(f"round omegas must be non-decreasing, got {omegas}")

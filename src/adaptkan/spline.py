@@ -82,25 +82,6 @@ class GridDomain:
         return self.a + (np.arange(self.omega) + 0.5) * self.d
 
 
-def bin_index(z, dom: GridDomain):
-    """Bin index of z: min(floor((z - a) / d), omega - 1), clamped to 0 below a."""
-    u = np.floor((np.asarray(z, dtype=float) - dom.a) / dom.d)
-    idx = np.clip(u, 0, dom.omega - 1).astype(np.int64)
-    return idx if idx.ndim else int(idx)
-
-
-def interp_value(z, dom: GridDomain):
-    """Local coordinate of z inside its (clamped) bin.
-
-    Equals the fractional part of (z - a)/d for z in [a, b); the right edge
-    z = b maps to bin omega-1 with value 1 so evaluation stays continuous.
-    Values outside [a, b] fall outside [0, 1] here; evaluation clamps them.
-    """
-    z = np.asarray(z, dtype=float)
-    theta = (z - dom.a) / dom.d - bin_index(z, dom)
-    return theta if theta.ndim else float(theta)
-
-
 def _d_theta(mat: np.ndarray) -> np.ndarray:
     """Map a window matrix over [theta^3, theta^2, theta, 1] to its theta-derivative.
 

@@ -116,14 +116,6 @@ def poison_hook(plan: PoisonPlan):
     return hook
 
 
-def poison(stream, plan: PoisonPlan):
-    """Corrupt an iterable of (epoch, X, y) batches according to the plan."""
-    hook = poison_hook(plan)
-    for epoch, X, y in stream:
-        Xc, yc = hook(epoch, X, y)
-        yield epoch, Xc, yc
-
-
 def read_table(path) -> np.ndarray:
     """Read a numeric CSV table with a one-line header into an (N, k) array.
 

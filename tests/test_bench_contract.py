@@ -1,0 +1,52 @@
+"""What the benchmark's tracer (perfbench/tracer.py) needs from the program.
+
+The tracer finds each traced function by module and attribute name and
+rebinds every module global that refers to it, so a rename, a name no
+longer imported where it is called, or a reference captured before the
+tracer installs makes its per-layer metrics read 0.  This checks those
+conditions in well under a second, without running the benchmark.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import adaptkan
+from adaptkan import adapt, cli, network, spline
+from adaptkan.tasks import write_table
+
+_TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_finds_and_wraps_every_target(tmp_path):
+    assert adaptkan.__version__  # every adaptkan module is loaded
+    tracer = _load_tracer()
+    features = tmp_path / "f.csv"
+    write_table(features, ["f0", "f1"], np.random.default_rng(0).normal(size=(50, 2)))
+    argv = ["ood", "fit", "--features", str(features), "--out", str(tmp_path / "s.json")]
+    decide, refit = adapt.decide, spline.refit_least_squares
+    # a first call before installing, as the benchmark's untraced passes make
+    assert cli.main(argv) == 0
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert t.missing == []
+        assert network.decide is not decide and network.decide.__wrapped__ is decide
+        assert adapt.refit_least_squares is not refit
+        assert adapt.refit_least_squares.__wrapped__ is refit
+        assert cli.main(argv) == 0
+        names = [span[0] for span in t.spans]
+        assert "cli.main" in names and "cli.cmd_ood_fit" in names
+        assert "ood.OodScorer.fit" in names
+    finally:
+        t.uninstall()
+    assert network.decide is decide and adapt.refit_least_squares is refit

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from adaptkan.cli import main
+from adaptkan.histogram import PROB_FLOOR
 from adaptkan.model_io import load_model, save_model
 from adaptkan.network import init_network
+from adaptkan.ood import OodScorer
 from adaptkan.optim import TrainPlan, train
-from adaptkan.tasks import generate, get_task
+from adaptkan.tasks import generate, get_task, read_table
 
 TRAIN_CFG = {
     "task": "II.38.3",
@@ -304,3 +306,101 @@ def test_load_model_rejects_inconsistent_shapes(tmp_path, corrupt):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def test_ood_score_rejects_nan_and_floors_infinities(tmp_path, capsys):
+    fit, query = tmp_path / "fit.csv", tmp_path / "q.csv"
+    write_features(fit, np.random.default_rng(10).normal(size=(200, 2)))
+    scorer, scores = tmp_path / "s.json", tmp_path / "scores.csv"
+    assert main(["ood", "fit", "--features", str(fit), "--bins", "10", "--out", str(scorer)]) == 0
+    query.write_text("f0,f1\r\n0.0,inf\r\n-inf,0.0\r\n")
+    assert main(["ood", "score", "--scorer", str(scorer), "--features", str(query),
+                 "--out", str(scores)]) == 0
+    p0, p1 = OodScorer.load(scorer).feature_probs([0.0, 0.0])[0]
+    expected = [(np.log(p0) + np.log(PROB_FLOOR)) / 2, (np.log(PROB_FLOOR) + np.log(p1)) / 2]
+    np.testing.assert_array_equal(read_table(scores)[:, 0], expected)
+    query.write_text("f0,f1\r\n0.0,nan\r\n")
+    capsys.readouterr()
+    assert main(["ood", "score", "--scorer", str(scorer), "--features", str(query),
+                 "--out", str(scores)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "NaN" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _misspelled_adapt_key(cfg):
+    cfg["adapt"] = {"alpah": 0.01}
+
+
+def _misspelled_round_key(cfg):
+    cfg["rounds"] = [{"lr": 1e-2, "step": 30, "omega": 3}]
+
+
+@pytest.mark.parametrize("corrupt", [_misspelled_adapt_key, _misspelled_round_key])
+def test_train_config_with_misspelled_key_exits_2(tmp_path, capsys, corrupt):
+    cfg = json.loads(json.dumps(TRAIN_CFG))
+    corrupt(cfg)
+    path = write_cfg(tmp_path, cfg)
+    assert main(["train", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def _model_is_a_list(doc):
+    return [doc]
+
+
+def _adapt_is_a_list(doc):
+    doc["adapt"] = [doc["adapt"]]
+    return doc
+
+
+def _no_layers(doc):
+    doc["layers"] = []
+    return doc
+
+
+@pytest.mark.parametrize("corrupt", [_model_is_a_list, _adapt_is_a_list, _no_layers])
+def test_eval_on_malformed_model_json_exits_2(tmp_path, capsys, corrupt):
+    from adaptkan.tasks import save_dataset
+    path, doc = _saved_model(tmp_path, [2, 3, 1])
+    path.write_text(json.dumps(corrupt(doc)))
+    data = tmp_path / "d.csv"
+    save_dataset(data, np.zeros((4, 2)), np.zeros(4))
+    assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def _scorer_is_a_list(doc):
+    return [doc]
+
+
+def _scorer_without_counts(doc):
+    del doc["counts"]
+    return doc
+
+
+def _scorer_lo_not_a_list(doc):
+    doc["lo"] = 0.0
+    return doc
+
+
+def _scorer_empty_range(doc):
+    doc["hi"][1] = doc["lo"][1]
+    return doc
+
+
+@pytest.mark.parametrize("corrupt", [_scorer_is_a_list, _scorer_without_counts,
+                                     _scorer_lo_not_a_list, _scorer_empty_range])
+def test_ood_score_on_malformed_scorer_json_exits_2(tmp_path, capsys, corrupt):
+    fit = tmp_path / "fit.csv"
+    write_features(fit, np.random.default_rng(11).normal(size=(100, 2)))
+    scorer = tmp_path / "s.json"
+    assert main(["ood", "fit", "--features", str(fit), "--bins", "5", "--out", str(scorer)]) == 0
+    scorer.write_text(json.dumps(corrupt(json.loads(scorer.read_text()))))
+    capsys.readouterr()
+    assert main(["ood", "score", "--scorer", str(scorer), "--features", str(fit),
+                 "--out", str(tmp_path / "scores.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adaptkan.histogram import PROB_FLOOR, FeatureHistogram, create_histogram
+from adaptkan.histogram import PROB_FLOOR, FeatureHistogram, create_histogram, histogram_bin
 from adaptkan.spline import GridDomain
 
 DOM2 = GridDomain(0.0, 1.0, 2, 3)
@@ -149,6 +149,34 @@ def test_marginal_prob_sums_to_at_most_one():
 def test_marginal_prob_empty_histogram_floors():
     h = FeatureHistogram(DOM4, alpha=0.5)
     assert h.marginal_prob(0.5) == PROB_FLOOR
+
+
+def test_marginal_prob_reads_the_bin_a_count_landed_in():
+    # (-1.36 + 2.5) * (50 / 3.8) rounds to just above 15, while
+    # (-1.36 + 2.5) / 0.076 rounds to just below it: one bin rule for
+    # counting and reading keeps the count where it is read
+    h = FeatureHistogram(GridDomain(-2.5, 1.3, 50), alpha=1.0)
+    h.update([-1.36])
+    assert h.marginal_prob(-1.36) == 1.0
+
+
+def test_marginal_prob_rejects_nan_and_floors_infinities():
+    h = FeatureHistogram(DOM4, alpha=1.0, hist=[1.0, 1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(h.marginal_prob([-np.inf, np.inf]), PROB_FLOOR)
+    with pytest.raises(ValueError):
+        h.marginal_prob(np.nan)
+
+
+def test_create_histogram_counts_with_histogram_bin():
+    # create_histogram inlines the rule; every knot of several grids, and one
+    # ulp either side of each, must land in the same bin both ways
+    for dom in (DOM4, GridDomain(-2.5, 1.3, 50), GridDomain(0.1, 0.7, 7)):
+        edges = dom.edges()
+        x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        x = x[(x >= dom.a) & (x <= dom.b)]
+        idx = histogram_bin(x, dom.a, dom.b, dom.omega)
+        np.testing.assert_array_equal(np.bincount(idx, minlength=dom.omega),
+                                      create_histogram(x, dom))
 
 
 def test_update_alpha_one_idempotent_with_create():

@@ -287,12 +287,17 @@ def test_refine_all_rmse_bounded_by_residual():
     assert rmse1 <= rmse0 + layers_gain * resid + 1e-12
 
 
-def test_adapt_all_noop_on_healthy_histograms():
+def test_record_forward_noop_on_healthy_histograms():
     net = init_network([2, 3], mode="kan", seed=61, cfg=AdaptConfig(alpha=0.5))
     for ly in net.layers:
         for h in ly.hists:
             h.hist[:] = 5.0  # healthy everywhere, empty ood
-    assert net.adapt_all() == 0
+    domains = [list(ly.domains) for ly in net.layers]
+    # one sample in every bin keeps the histograms healthy
+    X = np.repeat(net.layers[0].domains[0].centers()[:, None], 2, axis=1)
+    net.forward(X, record=True)
+    assert net.adapt_events == 0
+    assert [list(ly.domains) for ly in net.layers] == domains
 
 
 def test_record_forward_stretches_to_cover_data():

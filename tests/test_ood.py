@@ -16,12 +16,29 @@ def test_fit_two_point_feature():
     np.testing.assert_allclose(probs, 0.5)
 
 
+def test_fit_point_on_a_bin_edge_reads_its_own_bin():
+    # np.histogram's edge test would count 0.58 in bin 29 while the lookup
+    # reads bin 28; one bin rule reads back the bin it counted in
+    scorer = OodScorer.fit([[0.0], [0.58], [1.0]], bins=50)
+    assert scorer.score_hist([[0.58]])[0] == pytest.approx(np.log(1.0 / 3.0), abs=1e-15)
+
+
+def test_feature_probs_reject_nan_and_floor_infinities():
+    scorer = OodScorer(lo=np.zeros(2), hi=np.ones(2), counts=np.full((2, 4), 1.0))
+    probs = scorer.feature_probs(np.array([[-np.inf, np.inf], [0.5, 0.5]]))
+    np.testing.assert_array_equal(probs, [[PROB_FLOOR, PROB_FLOOR], [0.25, 0.25]])
+    with pytest.raises(ValueError):
+        scorer.feature_probs(np.array([[0.5, np.nan]]))
+
+
 def test_fit_degenerate_feature_widens_bounds():
     scorer = OodScorer.fit(np.full((5, 1), 2.0), bins=4)
     assert scorer.lo[0] == pytest.approx(2.0 - 1e-6)
     assert scorer.hi[0] == pytest.approx(2.0 + 1e-6)
     assert scorer.counts.sum() == 5
     assert scorer.bounds_from_data
+    with pytest.raises(ValueError):  # too large to widen: lo == hi would remain
+        OodScorer.fit(np.full((5, 1), 3e10), bins=4)
 
 
 def test_fit_is_deterministic():

@@ -8,11 +8,10 @@ from adaptkan.spline import (
     M_CUBIC,
     activation_dw,
     activation_dz,
+    basis,
     basis_matrix,
-    bin_index,
     eval_activation,
     greville_abscissae,
-    interp_value,
     refine_grid,
     refit_greville,
     refit_least_squares,
@@ -50,18 +49,26 @@ def test_domain_validation():
     assert DOM4.n_coef == 7
 
 
-def test_bin_index_examples():
-    assert bin_index(0.3, DOM4) == 1
-    assert bin_index(1.0, DOM4) == 3  # right-edge clamp
-    assert bin_index(0.0, DOM4) == 0
-    assert bin_index(-2.0, DOM4) == 0  # below-domain clamp
-    assert bin_index(9.0, DOM4) == 3
+def _basis4(z):
+    """basis() on DOM4 for scalar samples: (bins (S,), value windows (S, 4))."""
+    bins, (C,) = basis(np.asarray(z, dtype=float)[:, None], DOM4.a, DOM4.d, DOM4.omega)
+    return bins[:, 0], C[:, 0]
 
 
-def test_interp_value_examples():
-    assert interp_value(0.3, DOM4) == pytest.approx(0.2, abs=1e-12)
-    assert interp_value(0.25, DOM4) == pytest.approx(0.0, abs=1e-12)
-    assert interp_value(1.0, DOM4) == 1.0  # edge continuity convention
+def test_basis_bin_examples():
+    bins, _ = _basis4([0.3, 1.0, 0.0, -2.0, 9.0])
+    # right-edge clamp, below-domain clamp, above-domain clamp
+    np.testing.assert_array_equal(bins, [1, 3, 0, 0, 3])
+
+
+def test_basis_local_coordinate_examples():
+    bins, C = _basis4([0.3, 0.25, 1.0])
+    np.testing.assert_array_equal(bins, [1, 1, 3])
+    # the last window entry is theta^3 times M_CUBIC[3, 0] = 1/6
+    theta = np.cbrt(C[:, 3] / M_CUBIC[3, 0])
+    assert theta[0] == pytest.approx(0.2, abs=1e-12)
+    assert theta[1] == pytest.approx(0.0, abs=1e-12)
+    assert theta[2] == 1.0  # edge continuity convention: b sits in the last bin
 
 
 def test_constant_weights_give_constant():

@@ -13,7 +13,6 @@ from adaptkan.tasks import (
     generate,
     get_task,
     load_dataset,
-    poison,
     poison_hook,
     read_table,
     rmse,
@@ -128,9 +127,14 @@ def test_poison_stream_determinism():
         for e in range(20):
             yield e, rngs.normal(size=(8, 2)), np.zeros(8)
 
+    def poisoned(plan):
+        hook = poison_hook(plan)
+        return [(e, hook(e, X, y)[0].copy()) for e, X, y in stream()]
+
     plan = PoisonPlan(epochs=20, n_up=2, n_down=2, seed=4)
-    out1 = [(e, X.copy()) for e, X, _ in poison(stream(), plan)]
-    out2 = [(e, X.copy()) for e, X, _ in poison(stream(), plan)]
+    out1 = poisoned(plan)
+    out2 = poisoned(plan)
+    assert len(out1) == len(out2) == 20
     for (e1, X1), (e2, X2) in zip(out1, out2):
         assert e1 == e2
         np.testing.assert_array_equal(X1, X2)
