@@ -7,7 +7,6 @@ import numpy as np
 
 from adaptkan import (
     GridDomain,
-    activation_dw,
     activation_dz,
     eval_activation,
     greville_abscissae,
@@ -15,6 +14,7 @@ from adaptkan import (
     refit_greville,
     refit_least_squares,
 )
+from adaptkan.spline import basis, dense_basis, window_columns
 
 rng = np.random.default_rng(0)
 
@@ -38,8 +38,11 @@ print("line 3z - 0.5 at z=0.37:", eval_activation(0.37, w_line, dom))
 print("derivative there:", activation_dz(0.37, w_line, dom))
 
 # The weight gradient is the local basis window: nonnegative, sums to 1.
-basis = activation_dw(0.37, dom)
-print("\nbasis window at 0.37:", np.round(basis, 4), "sum:", basis.sum())
+# basis() gives the four nonzero values and the interval they start at;
+# dense_basis() scatters them into a row of all omega + k weights.
+bins, (window,) = basis(np.array([[0.37]]), dom.a, dom.d, dom.omega)
+grad_w = dense_basis(window_columns(bins, dom.n_coef), window, np.empty((1, dom.n_coef)))[0]
+print("\nbasis window at 0.37:", np.round(grad_w, 4), "sum:", grad_w.sum())
 
 # Refitting moves a spline to a new domain. The exact route solves a dense
 # least-squares problem; the Greville route just re-interpolates weights.

@@ -38,7 +38,6 @@ from .ood import OodScorer, auroc
 from .optim import Adam, Round, TrainPlan, lr_at, train
 from .spline import (
     GridDomain,
-    activation_dw,
     activation_dz,
     basis_matrix,
     eval_activation,

@@ -1,4 +1,4 @@
-"""Stretch/shrink decision logic and domain updates for one layer feature.
+"""Stretch/shrink decision logic and domain updates for a layer's features.
 
 At every training step each feature's histogram is inspected: if an edge bin
 and its out-of-domain tally have both decayed to (or below) the shrink
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .histogram import FeatureHistogram, create_histogram
+from .histogram import FeatureHistogram
 from .spline import GridDomain, refit_greville, refit_least_squares
 
 STRETCH_MODES = ("max", "half_max", "mean", "edge")
@@ -74,66 +74,85 @@ class Decision:
     note: str = ""
 
 
-def shrink_threshold(cfg: AdaptConfig, hist: np.ndarray | None = None) -> float:
+def shrink_threshold(cfg: AdaptConfig, hist: np.ndarray | None = None):
     """Stale-bin threshold.
 
     Fixed rule: N * (1-alpha)^p * alpha, built by repeated multiplication so
     it matches, operation for operation, the value an initial alpha count
-    decays to after p clean EMA updates.  Relative rule: max(hist) * alpha.
+    decays to after p clean EMA updates.  Relative rule: max(hist) * alpha
+    along the last axis of ``hist``, so one threshold per feature.
     """
     if cfg.shrink_rule == "relative":
         if hist is None:
             raise ValueError("relative shrink rule needs the current histogram")
-        return float(np.max(hist) * cfg.alpha)
+        return np.max(hist, axis=-1) * cfg.alpha
     tau = cfg.alpha
     for _ in range(cfg.prune_patience):
         tau = tau * (1.0 - cfg.alpha)
     return cfg.outlier_count * tau
 
 
-def _stretch_triggers(h: FeatureHistogram, cfg: AdaptConfig) -> bool:
-    hist, ood = h.hist, h.ood_hist
+def _stretch_triggers(hist: np.ndarray, ood: np.ndarray, edges: np.ndarray,
+                      cfg: AdaptConfig) -> np.ndarray:
+    """Mask, per feature and side, of out-of-domain tallies past the stretch
+    threshold; ``edges`` holds each side's edge bin."""
+    if cfg.stretch_mode == "edge":
+        # each tally is compared against its adjacent edge bin
+        return ood > edges
     if cfg.stretch_mode == "max":
-        thr = hist.max()
-        return ood[0] > thr or ood[1] > thr
-    if cfg.stretch_mode == "half_max":
-        thr = hist.max() / 2.0
-        return ood[0] > thr or ood[1] > thr
-    if cfg.stretch_mode == "mean":
-        thr = hist.mean()
-        return ood[0] > thr or ood[1] > thr
-    # edge: each tally is compared against its adjacent edge bin
-    return ood[0] > hist[0] or ood[1] > hist[-1]
+        thr = hist.max(axis=-1)
+    elif cfg.stretch_mode == "half_max":
+        thr = hist.max(axis=-1) / 2.0
+    else:  # mean
+        thr = hist.mean(axis=-1)
+    return ood > thr[..., None]
 
 
-def decide(h: FeatureHistogram, cfg: AdaptConfig) -> Decision:
-    """Pure adaptation decision for one feature histogram.
+def decide(h: FeatureHistogram, cfg: AdaptConfig):
+    """Pure adaptation decisions for every feature of a histogram.
 
     Shrink fires when an edge bin and its out-of-domain tally are both at or
     below the shrink threshold; the new bounds are the outermost bin edges
     whose bins still exceed it.  The stretch check is evaluated afterwards
     and overrides a shrink, expanding to the recorded extremes on both sides.
+    Stale and stretching features are found with masks over all features at
+    once, and only they are examined one by one.
+
+    Returns a :class:`Decision` for a one-feature histogram.  For a layer's
+    histogram returns {feature index: Decision} holding each shrink, each
+    stretch and each 'none' that carries a note; every other feature keeps
+    its domain.
     """
-    dom = h.dom
-    tau = shrink_threshold(cfg, h.hist)
-    decision = Decision("none")
-
-    left_stale = h.ood_hist[0] <= tau and h.hist[0] <= tau
-    right_stale = h.ood_hist[1] <= tau and h.hist[-1] <= tau
-    if left_stale or right_stale:
-        keep = np.flatnonzero(h.hist > tau)
-        if len(keep) == 0:
-            decision = Decision("none", note="no bin above shrink threshold; domain would collapse")
-        else:
-            edges = dom.edges()
-            new_a = edges[keep[0]] if left_stale else dom.a
-            new_b = edges[keep[-1] + 1] if right_stale else dom.b
-            if new_a != dom.a or new_b != dom.b:
-                decision = Decision("shrink", float(new_a), float(new_b))
-
-    if _stretch_triggers(h, cfg):
-        decision = Decision("stretch", float(h.ood_a), float(h.ood_b))
-    return decision
+    hist, ood = h.hist, h.ood_hist
+    tau = np.asarray(shrink_threshold(cfg, hist))[..., None]
+    edges = hist[..., ::max(h.omega - 1, 1)]  # first and last bin (one bin if omega = 1)
+    # [left, right] per feature
+    stale = np.maximum(ood, edges) <= tau
+    stretch = _stretch_triggers(hist, ood, edges, cfg)
+    fire = stale | stretch
+    decisions = {}
+    if fire.any():
+        hist, a, b = hist.reshape(-1, h.omega), h.a.reshape(-1), h.b.reshape(-1)
+        tau = np.broadcast_to(tau, h.a.shape + (1,)).reshape(-1)
+        stale, stretch = stale.reshape(-1, 2), stretch.reshape(-1, 2)
+        for j in np.flatnonzero(fire.reshape(-1, 2).any(axis=1)).tolist():
+            if stretch[j].any():
+                lo, hi = h.extremes.reshape(-1, 2)[j].tolist()
+                decisions[j] = Decision("stretch", lo, hi)
+                continue
+            keep = np.flatnonzero(hist[j] > tau[j])
+            if len(keep) == 0:
+                decisions[j] = Decision(
+                    "none", note="no bin above shrink threshold; domain would collapse")
+                continue
+            grid = np.linspace(a[j], b[j], h.omega + 1)
+            new_a = grid[keep[0]] if stale[j, 0] else a[j]
+            new_b = grid[keep[-1] + 1] if stale[j, 1] else b[j]
+            if new_a != a[j] or new_b != b[j]:
+                decisions[j] = Decision("shrink", float(new_a), float(new_b))
+    if h.a.ndim == 0:
+        return decisions.get(0, Decision("none"))
+    return decisions
 
 
 def _refit_weights(coef, dom: GridDomain, new_dom: GridDomain, cfg: AdaptConfig):
@@ -148,36 +167,40 @@ def apply_adapt(dom: GridDomain, coef: np.ndarray, hist: FeatureHistogram,
     """Apply a decision to one feature's (domain, weight rows, histogram).
 
     The interval count stays fixed; every weight row touching this feature is
-    refit onto the new bounds and the histogram is transferred.  After a
-    stretch the recorded extremes are reset to the new bounds.  Returns the
-    (possibly unchanged) triple.
+    refit onto the new bounds and the one-feature histogram is transferred.
+    After a stretch the recorded extremes are reset to the new bounds.
+    Returns the (possibly unchanged) triple.
     """
     if decision.kind == "none":
         return dom, coef, hist
     new_dom = GridDomain(decision.a, decision.b, dom.omega, dom.k)
     new_coef = _refit_weights(coef, dom, new_dom, cfg)
-    new_hist = hist.refit(new_dom)
+    new_hist = hist.refit(new_dom.a, new_dom.b, new_dom.omega)
     if decision.kind == "stretch":
-        new_hist.ood_a = new_dom.a
-        new_hist.ood_b = new_dom.b
+        new_hist.extremes[...] = (new_dom.a, new_dom.b)
     return new_dom, new_coef, new_hist
 
 
-def manual_adapt(dom: GridDomain, coef: np.ndarray, hist: FeatureHistogram,
-                 batch, cfg: AdaptConfig):
-    """Force the domain to the min/max of a single batch and refit.
+def manual_adapt(hist: FeatureHistogram, coef: np.ndarray, batch, cfg: AdaptConfig):
+    """Force every feature's domain to the min/max of one batch and refit.
 
-    The histogram is rebuilt from the batch alone (no memory).  A degenerate
-    batch (max == min) is widened symmetrically by 1e-6.
+    ``batch`` is (B,) + S for a histogram of feature shape S (a layer's
+    (B, n) inputs, or (B,) for one feature) and ``coef`` S + (m, P) holds
+    the weight rows of those features.  Each histogram is rebuilt from the
+    batch alone (no memory), keeping its alpha.  A degenerate feature
+    (max == min) is widened symmetrically by 1e-6.  Returns (coef, hist).
     """
-    batch = np.asarray(batch, dtype=float)
-    if not np.all(np.isfinite(batch)):
+    Z = np.asarray(batch, dtype=float)
+    if not np.all(np.isfinite(Z)):
         raise ValueError("non-finite values in manual-adapt batch")
-    lo, hi = float(batch.min()), float(batch.max())
-    if lo == hi:
-        lo, hi = lo - 1e-6, hi + 1e-6
-    new_dom = GridDomain(lo, hi, dom.omega, dom.k)
-    new_coef = _refit_weights(coef, dom, new_dom, cfg)
-    new_hist = FeatureHistogram(new_dom, hist.alpha,
-                                hist=create_histogram(batch[(batch >= lo) & (batch <= hi)], new_dom))
-    return new_dom, new_coef, new_hist
+    lo, hi = Z.min(axis=0), Z.max(axis=0)
+    flat = lo == hi
+    new_hist = FeatureHistogram.from_arrays(np.where(flat, lo - 1e-6, lo),
+                                            np.where(flat, hi + 1e-6, hi),
+                                            hist.omega, hist.k, hist.alpha)
+    new_hist.counts[...] = new_hist.batch_counts(Z)[0]
+    rows = coef.reshape((-1,) + coef.shape[-2:])
+    # the weight refits run one feature at a time
+    new_coef = np.stack([_refit_weights(w, dom, new_dom, cfg) for w, dom, new_dom
+                         in zip(rows, hist.domains, new_hist.domains)])
+    return new_coef.reshape(coef.shape), new_hist

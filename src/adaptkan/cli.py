@@ -71,6 +71,8 @@ def _write_csv(path, header, rows) -> None:
 
 def _build_net(cfg: dict, shape, seed: int):
     init = cfg.get("init", {})
+    if not isinstance(init, dict):
+        raise ConfigError("init must be a JSON object")
     adapt = AdaptConfig.from_dict(cfg.get("adapt", {}))
     return init_network(
         shape,

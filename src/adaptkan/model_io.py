@@ -19,22 +19,20 @@ FORMAT_VERSION = 1
 
 
 def _layer_to_dict(layer: AdaptKanLayer) -> dict:
+    h = layer.hist
     return {
         "n": layer.n,
         "m": layer.m,
         "use_base": layer.use_base,
         "features": [
             {
-                "domain": {"a": dom.a, "b": dom.b, "omega": dom.omega, "k": dom.k},
-                "hist": {
-                    "hist": h.hist.tolist(),
-                    "ood_hist": h.ood_hist.tolist(),
-                    "ood_a": h.ood_a,
-                    "ood_b": h.ood_b,
-                    "alpha": h.alpha,
-                },
+                "domain": {"a": a, "b": b, "omega": h.omega, "k": h.k},
+                "hist": {"hist": hist, "ood_hist": ood, "ood_a": lo, "ood_b": hi,
+                         "alpha": alpha},
             }
-            for dom, h in zip(layer.domains, layer.hists)
+            for a, b, hist, ood, (lo, hi), alpha in zip(
+                h.a.tolist(), h.b.tolist(), h.hist.tolist(), h.ood_hist.tolist(),
+                h.extremes.tolist(), h.alpha.tolist())
         ],
         "coef": layer.coef.tolist(),
         "w_s": layer.w_s.tolist(),
@@ -42,21 +40,24 @@ def _layer_to_dict(layer: AdaptKanLayer) -> dict:
     }
 
 
-def _layer_from_dict(d: dict) -> AdaptKanLayer:
-    domains = []
-    hists = []
-    for feat in d["features"]:
-        dom = GridDomain(**feat["domain"])
-        domains.append(dom)
-        h = feat["hist"]
-        hists.append(FeatureHistogram(dom, h["alpha"], hist=h["hist"],
-                                      ood_hist=h["ood_hist"],
-                                      ood_a=h["ood_a"], ood_b=h["ood_b"]))
-    return AdaptKanLayer(d["n"], d["m"], domains, hists,
-                         np.asarray(d["coef"], dtype=float),
-                         np.asarray(d["w_s"], dtype=float),
-                         np.asarray(d["w_b"], dtype=float),
-                         d["use_base"])
+def _feature_hist(feat: dict) -> FeatureHistogram:
+    h = feat["hist"]
+    return FeatureHistogram(GridDomain(**feat["domain"]), h["alpha"], hist=h["hist"],
+                            ood_hist=h["ood_hist"], ood_a=h["ood_a"], ood_b=h["ood_b"])
+
+
+def _layer_from_dict(d) -> AdaptKanLayer:
+    """Layer from its JSON object; a value of the wrong JSON type anywhere in
+    it (a layer or feature that is not an object, say) raises ValueError."""
+    try:
+        return AdaptKanLayer(d["n"], d["m"],
+                             FeatureHistogram.stack(_feature_hist(f) for f in d["features"]),
+                             np.asarray(d["coef"], dtype=float),
+                             np.asarray(d["w_s"], dtype=float),
+                             np.asarray(d["w_b"], dtype=float),
+                             d["use_base"])
+    except TypeError as exc:
+        raise ValueError(f"malformed model layer: {exc}") from None
 
 
 def save_model(net: AdaptKanNet, path, meta: dict | None = None) -> None:
@@ -90,5 +91,7 @@ def load_model(path) -> AdaptKanNet:
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
     cfg = AdaptConfig.from_dict(doc["adapt"])
+    if not isinstance(doc["layers"], list):
+        raise ValueError(f"model file {path}: layers is not a JSON list")
     net = AdaptKanNet([_layer_from_dict(d) for d in doc["layers"]], cfg)
     return net

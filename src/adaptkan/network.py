@@ -6,10 +6,20 @@ initialisation each activation also carries a scaled SiLU base term:
 
     phi_{i,j}(z) = w_s[i,j] * spline_{i,j}(z) + w_b[i,j] * silu(z)
 
-Every input feature of every layer owns a grid domain and an EMA histogram;
-with ``record=True`` the forward pass updates the histograms and runs the
-domain adaptation before evaluating, so layers adapt to the data they are
+Every input feature of every layer owns a grid domain and an EMA histogram.
+A layer keeps them as one :class:`~adaptkan.histogram.FeatureHistogram` of
+its n features: bounds a, b (n,), counts (n, omega+2) with the below-a and
+above-b tallies as first and last columns, extremes (n, 2) and alpha (n,).
+With ``record=True`` the forward pass updates each layer's histogram with
+the whole batch, decides for all its features at once, and refits only the
+features that fire, before evaluating, so layers adapt to the data they are
 about to see.
+
+The trainable arrays of all layers (coef, and w_s, w_b under the base term)
+are views into one flat buffer, so :meth:`AdaptKanNet.parameters` is a
+single array and :meth:`AdaptKanNet.gradient_list` turns the gradients of a
+backward pass into one new flat array laid out the same way: the optimiser
+makes one fused update per step.
 
 Each layer is evaluated as matrix products against a dense cubic basis
 D (B, n*P), P = omega + 3, the basis-matrix form of efficient-kan applied
@@ -31,6 +41,8 @@ cotangent.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -91,6 +103,9 @@ class AdaptKanLayer:
     ``coef`` has shape (n, m, P) with P = omega + k: coef[j][i] are the
     spline weights of activation (i, j).  ``w_s``/``w_b`` (n, m) scale the
     spline and SiLU base terms and are only active when ``use_base`` is set.
+    ``hist`` holds the grid domains and histograms of the n input features.
+    Inside a network the trainable arrays are views into its flat parameter
+    buffer: write into them, do not rebind them.
 
     The layer is evaluated against a dense basis: row b of D (B, n*P) holds,
     in feature j's block of P columns, the four nonzero cubic basis values of
@@ -102,21 +117,17 @@ class AdaptKanLayer:
     time, so memory stays bounded on full-dataset passes.
     """
 
-    def __init__(self, n: int, m: int, domains, hists, coef, w_s, w_b, use_base: bool):
+    def __init__(self, n: int, m: int, hist: FeatureHistogram, coef, w_s, w_b, use_base: bool):
         self.n = n
         self.m = m
-        self.domains = list(domains)
-        self.hists = list(hists)
+        self.hist = hist
         self.coef = np.asarray(coef, dtype=float)
         self.w_s = np.asarray(w_s, dtype=float)
         self.w_b = np.asarray(w_b, dtype=float)
         self.use_base = use_base
-        if len(self.domains) != n or len(self.hists) != n:
-            raise ValueError(f"layer {n}->{m}: {len(self.domains)} domains and "
-                             f"{len(self.hists)} histograms for {n} features")
-        if len({(dom.omega, dom.k) for dom in self.domains}) != 1:
-            raise ValueError(f"layer {n}->{m}: features differ in omega or k")
-        P = self.domains[0].n_coef
+        if hist.a.shape != (n,):
+            raise ValueError(f"layer {n}->{m}: histogram of shape {hist.a.shape} for {n} features")
+        P = hist.omega + hist.k
         for name, arr, shape in (("coef", self.coef, (n, m, P)),
                                  ("w_s", self.w_s, (n, m)), ("w_b", self.w_b, (n, m))):
             if arr.shape != shape:
@@ -124,7 +135,16 @@ class AdaptKanLayer:
 
     @property
     def omega(self) -> int:
-        return self.domains[0].omega
+        return self.hist.omega
+
+    @property
+    def domains(self) -> list:
+        """Grid domain of each input feature (built from ``hist``)."""
+        return self.hist.domains
+
+    def trainable(self) -> tuple:
+        """Names of the arrays the optimiser updates, in buffer order."""
+        return ("coef", "w_s", "w_b") if self.use_base else ("coef",)
 
     def folded_weights(self) -> np.ndarray:
         """(n*P, m) weights of the dense basis, w_s folded in under the base term."""
@@ -215,7 +235,11 @@ def _base_input(E, w_b):
 
 
 class AdaptKanNet:
-    """Stack of layers plus the adaptation configuration."""
+    """Stack of layers plus the adaptation configuration.
+
+    The layers' trainable arrays are repacked into one flat buffer when the
+    network is built and whenever :meth:`refine_all` reshapes them.
+    """
 
     def __init__(self, layers, cfg: AdaptConfig | None = None):
         self.layers = list(layers)
@@ -226,6 +250,20 @@ class AdaptKanNet:
         for a, b in zip(self.layers[:-1], self.layers[1:]):
             if a.m != b.n:
                 raise ValueError(f"layer widths do not chain: {a.m} -> {b.n}")
+        self._pack()
+
+    def _pack(self) -> None:
+        """Copy every trainable array into one new flat buffer, in the order
+        of :meth:`gradient_list`, and rebind the layers to views of it."""
+        self._flat = np.concatenate([getattr(layer, name).ravel() for layer in self.layers
+                                     for name in layer.trainable()])
+        start = 0
+        for layer in self.layers:
+            for name in layer.trainable():
+                shape = getattr(layer, name).shape
+                size = math.prod(shape)
+                setattr(layer, name, self._flat[start:start + size].reshape(shape))
+                start += size
 
     @property
     def shape(self):
@@ -240,51 +278,44 @@ class AdaptKanNet:
     # ------------------------------------------------------------------
 
     def _observe(self, li: int, Z: np.ndarray) -> None:
-        """Update histograms for layer li's inputs, then adapt stale domains."""
+        """Update layer li's histogram with its inputs, then adapt the
+        features whose decision fires."""
         layer = self.layers[li]
-        if not np.all(np.isfinite(Z)):
+        if not np.isfinite(Z).all():
             raise NonFiniteError(li, "inputs")
-        for j in range(layer.n):
-            layer.hists[j].update(Z[:, j])
-            decision = decide(layer.hists[j], self.cfg)
+        layer.hist.update(Z)
+        for j, decision in decide(layer.hist, self.cfg).items():
             if decision.kind != "none":
-                dom, coef, hist = apply_adapt(
-                    layer.domains[j], layer.coef[j], layer.hists[j], decision, self.cfg)
-                layer.domains[j] = dom
-                layer.coef[j] = coef
-                layer.hists[j] = hist
+                hist = layer.hist[j]
+                _, layer.coef[j], layer.hist[j] = apply_adapt(
+                    hist.dom, layer.coef[j], hist, decision, self.cfg)
                 self.adapt_events += 1
 
     def manual_adapt_all(self, X: np.ndarray) -> None:
         """Snap every domain to the min/max of this batch (naive baseline)."""
         Z = np.asarray(X, dtype=float)
         for li, layer in enumerate(self.layers):
-            for j in range(layer.n):
-                dom, coef, hist = manual_adapt(
-                    layer.domains[j], layer.coef[j], layer.hists[j], Z[:, j], self.cfg)
-                layer.domains[j] = dom
-                layer.coef[j] = coef
-                layer.hists[j] = hist
+            layer.coef[...], layer.hist = manual_adapt(layer.hist, layer.coef, Z, self.cfg)
             Z, _ = self._layer_eval(li, Z)
 
     def refine_all(self, new_omega: int) -> float:
         """Increase every layer's grid interval count on fixed bounds.
 
         Weights are refit by least squares and histograms transferred to the
-        new bin count.  Optimiser state tied to the old coefficient shapes
-        becomes invalid after this call.  Returns the worst refit residual
-        (max absolute deviation on the fitting grid) across all features.
+        new bin count.  The parameter buffer is rebuilt, so optimiser state
+        tied to the old one becomes invalid after this call.  Returns the
+        worst refit residual (max absolute deviation on the fitting grid)
+        across all features.
         """
         worst = 0.0
         for layer in self.layers:
-            new_coef = np.empty((layer.n, layer.m, new_omega + layer.domains[0].k))
-            for j in range(layer.n):
-                w, dom, info = refine_grid(layer.coef[j], layer.domains[j], new_omega)
-                new_coef[j] = w
-                layer.domains[j] = dom
-                layer.hists[j] = layer.hists[j].refit(dom)
+            new_coef = np.empty((layer.n, layer.m, new_omega + layer.hist.k))
+            for j, dom in enumerate(layer.domains):
+                new_coef[j], _, info = refine_grid(layer.coef[j], dom, new_omega)
                 worst = max(worst, info.max_err)
             layer.coef = new_coef
+            layer.hist = layer.hist.refit(layer.hist.a, layer.hist.b, new_omega)
+        self._pack()
         return worst
 
     # ------------------------------------------------------------------
@@ -299,9 +330,7 @@ class AdaptKanNet:
         weights.
         """
         layer = self.layers[li]
-        a = np.array([dom.a for dom in layer.domains])
-        d = np.array([dom.d for dom in layer.domains])
-        bins, Cs = basis(Z, a, d, layer.omega, order)
+        bins, Cs = basis(Z, layer.hist.a, layer.hist.d, layer.omega, order)
         cols = window_columns(bins, layer.coef.shape[2])
         Wf = layer.folded_weights()
         Y = layer.basis_product(cols, Cs[0], Wf)
@@ -431,24 +460,15 @@ class AdaptKanNet:
     # ------------------------------------------------------------------
 
     def parameters(self):
-        """Current trainable arrays, in a stable order."""
-        params = []
-        for layer in self.layers:
-            params.append(layer.coef)
-            if layer.use_base:
-                params.append(layer.w_s)
-                params.append(layer.w_b)
-        return params
+        """The trainable arrays: one flat buffer that every layer's trainable
+        arrays are views into."""
+        return [self._flat]
 
     def gradient_list(self, grads):
-        """Flatten per-layer gradient dicts to match :meth:`parameters`."""
-        out = []
-        for layer, g in zip(self.layers, grads):
-            out.append(g["coef"])
-            if layer.use_base:
-                out.append(g["w_s"])
-                out.append(g["w_b"])
-        return out
+        """Per-layer gradient dicts as one new flat array laid out like
+        :meth:`parameters`, so gradients of two passes never share memory."""
+        return [np.concatenate([g[name].ravel() for layer, g in zip(self.layers, grads)
+                                for name in layer.trainable()])]
 
 
 def init_network(shape, mode: str = "kan", noise: float = 0.5, seed: int = 0,
@@ -469,9 +489,9 @@ def init_network(shape, mode: str = "kan", noise: float = 0.5, seed: int = 0,
     cfg = cfg if cfg is not None else AdaptConfig()
     rng = np.random.default_rng(seed)
     layers = []
+    dom = GridDomain(domain[0], domain[1], omega, k)
     for n, m in zip(shape[:-1], shape[1:]):
-        domains = [GridDomain(domain[0], domain[1], omega, k) for _ in range(n)]
-        hists = [FeatureHistogram(domains[j], cfg.alpha) for j in range(n)]
+        hist = FeatureHistogram.stack([FeatureHistogram(dom, cfg.alpha)] * n)
         P = omega + k
         if mode == "kan":
             coef = noise * rng.standard_normal((n, m, P))
@@ -479,14 +499,14 @@ def init_network(shape, mode: str = "kan", noise: float = 0.5, seed: int = 0,
             w_b = np.ones((n, m))
             use_base = True
         else:
-            g = greville_abscissae(domains[0])
+            g = greville_abscissae(dom)
             slopes = (np.full((n, m), float(slope)) if slope is not None
                       else rng.standard_normal((n, m)))
             coef = slopes[:, :, None] * g + noise * rng.standard_normal((n, m, P))
             w_s = np.ones((n, m))
             w_b = np.zeros((n, m))
             use_base = False
-        layers.append(AdaptKanLayer(n, m, domains, hists, coef, w_s, w_b, use_base))
+        layers.append(AdaptKanLayer(n, m, hist, coef, w_s, w_b, use_base))
     return AdaptKanNet(layers, cfg)
 
 

@@ -198,12 +198,6 @@ def activation_dz(z, w_row, dom: GridDomain):
     return _contract(z, w_row, dom, 1)
 
 
-def activation_dw(z, dom: GridDomain):
-    """Gradient of the spline value w.r.t. its weights (dense, mostly zero)."""
-    grad = _design_matrix(z, dom)
-    return grad[0] if np.ndim(z) == 0 else grad
-
-
 def greville_abscissae(dom: GridDomain) -> np.ndarray:
     """Knot-average points where spline weights act like function samples.
 

@@ -1,17 +1,26 @@
 """Domain adaptation decisions, applications, and the manual baseline."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from adaptkan import network
 from adaptkan.adapt import (
+    REFIT_MODES,
+    SHRINK_RULES,
+    STRETCH_MODES,
     AdaptConfig,
+    Decision,
     apply_adapt,
     decide,
     manual_adapt,
     shrink_threshold,
 )
 from adaptkan.histogram import FeatureHistogram
+from adaptkan.network import init_network
 from adaptkan.spline import GridDomain, eval_activation, greville_abscissae
+from adaptkan.tasks import PoisonPlan, poison_hook
 
 DOM4 = GridDomain(0.0, 1.0, 4, 3)
 
@@ -160,11 +169,12 @@ def test_manual_adapt_examples():
     rng = np.random.default_rng(3)
     cfg = AdaptConfig(alpha=0.5)
     dom, coef, hist = make_state(rng)
-    dom2, _, hist2 = manual_adapt(dom, coef, hist, [0.0, 0.4, 1.0], cfg)
+    _, hist2 = manual_adapt(hist, coef, [0.0, 0.4, 1.0], cfg)
+    dom2 = hist2.dom
     assert (dom2.a, dom2.b) == (0.0, 1.0)
     np.testing.assert_array_equal(hist2.hist, [1.0, 1.0, 0.0, 1.0])
 
-    dom3, _, _ = manual_adapt(dom, coef, hist, [2.0, 2.0, 2.0], cfg)
+    dom3 = manual_adapt(hist, coef, [2.0, 2.0, 2.0], cfg)[1].dom
     assert dom3.a == pytest.approx(2.0 - 1e-6)
     assert dom3.b == pytest.approx(2.0 + 1e-6)
 
@@ -173,7 +183,8 @@ def test_manual_adapt_preserves_constant_spline():
     cfg = AdaptConfig(alpha=0.5)
     coef = np.full((1, DOM4.n_coef), -0.7)
     hist = make_hist(DOM4, [1.0] * 4)
-    dom2, coef2, _ = manual_adapt(DOM4, coef, hist, [-0.3, 0.9], cfg)
+    coef2, hist2 = manual_adapt(hist, coef, [-0.3, 0.9], cfg)
+    dom2 = hist2.dom
     z = np.linspace(dom2.a, dom2.b, 200)
     np.testing.assert_allclose(eval_activation(z, coef2[0], dom2), -0.7, atol=1e-10)
 
@@ -202,3 +213,59 @@ def test_config_validation():
         AdaptConfig(stretch_mode="huge")
     with pytest.raises(ValueError):
         AdaptConfig(refit_mode="magic")
+
+
+def _drifting_stream(rng, steps=60, B=32):
+    # feature 0 drifts right, feature 1 left and wider, feature 2 narrows
+    # inside its domain: stretches, shrinks and stale edges on every side
+    for t in range(steps):
+        yield np.column_stack([rng.normal(0.05 * t, 0.3, B),
+                               rng.normal(-0.04 * t, 0.2 + 0.02 * t, B),
+                               rng.uniform(-0.9 + 0.01 * t, 0.9 - 0.01 * t, B)])
+
+
+def _poisoned_stream(rng, steps=60, B=32):
+    hook = poison_hook(PoisonPlan(epochs=steps, n_up=4, n_down=4, seed=5))
+    for t in range(steps):
+        yield hook(t, rng.uniform(-1.0, 1.0, (B, 3)), None)[0]
+
+
+@pytest.mark.parametrize("stream", [_drifting_stream, _poisoned_stream])
+def test_layer_arrays_match_one_feature_histograms(stream, monkeypatch):
+    # the layer's arrays against the n = 1 API, bitwise, after every step:
+    # a 3-feature layer adapting inside forward(record=True), and three
+    # one-feature histograms driven through update / decide / apply_adapt
+    seen = []
+
+    def spy(h, cfg):
+        seen.append(decide(h, cfg))
+        return seen[-1]
+
+    monkeypatch.setattr(network, "decide", spy)
+    outcomes = set()
+    for stretch_mode, shrink_rule, refit_mode in itertools.product(
+            STRETCH_MODES, SHRINK_RULES, REFIT_MODES):
+        cfg = AdaptConfig(alpha=0.1, prune_patience=2, stretch_mode=stretch_mode,
+                          shrink_rule=shrink_rule, refit_mode=refit_mode)
+        net = init_network([3, 2], mode="kan", noise=0.5, seed=3, omega=10, cfg=cfg)
+        layer = net.layers[0]
+        layer.hist.alpha[:] = [0.5, 0.1, 0.01]  # one alpha below cfg.alpha: empty-looking bins
+        singles = [layer.hist[j] for j in range(3)]
+        coefs = [layer.coef[j].copy() for j in range(3)]
+        for X in stream(np.random.default_rng(11)):
+            seen.clear()
+            net.forward(X, record=True)
+            (layer_decisions,) = seen
+            for j in range(3):
+                h = singles[j]
+                h.update(X[:, j])
+                d = decide(h, cfg)
+                assert layer_decisions.get(j, Decision("none")) == d
+                outcomes.add(d.note or d.kind)
+                _, coefs[j], singles[j] = apply_adapt(h.dom, coefs[j], h, d, cfg)
+                got = layer.hist[j]
+                for name in ("a", "b", "alpha", "counts", "extremes"):
+                    assert np.array_equal(getattr(got, name), getattr(singles[j], name)), name
+                assert np.array_equal(layer.coef[j], coefs[j])
+    assert outcomes >= {"none", "shrink", "stretch",
+                        "no bin above shrink threshold; domain would collapse"}

@@ -50,3 +50,33 @@ def test_tracer_finds_and_wraps_every_target(tmp_path):
     finally:
         t.uninstall()
     assert network.decide is decide and adapt.refit_least_squares is refit
+
+
+def test_training_spans_are_traced_once_per_layer():
+    # the call sites the benchmark's training spans need: one histogram
+    # update and one decision per layer per step, the refits of an
+    # adaptation event and of a grid refinement, and one Adam step per step
+    from adaptkan.optim import TrainPlan, train
+
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-1.0, 1.0, (64, 2))
+    X[:, 0] *= 1.6  # a share of feature 0 beyond [-1, 1]: the first step stretches
+    y = X[:, 0] + X[:, 1]
+    net = adaptkan.init_network([2, 3, 1], seed=0)
+    plan = TrainPlan(rounds=[{"lr": 1e-2, "steps": 15, "omega": 3},
+                             {"lr": 1e-2, "steps": 15, "omega": 5}], batch_size=32, seed=0)
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        train(net, (X, y, X, y), plan)
+    finally:
+        t.uninstall()
+    calls = {name: n for name, (n, _) in tracer.self_times(t.spans).items()}
+    assert net.adapt_events > 0
+    for name in ("histogram.refit", "adapt.apply_adapt", "spline.refit_least_squares",
+                 "spline.refine_grid"):
+        assert calls.get(name, 0) > 0, name
+    steps = 30
+    assert calls["histogram.update"] == calls["adapt.decide"] == len(net.layers) * steps
+    assert calls["optim.Adam.step"] == steps

@@ -346,6 +346,13 @@ def test_train_config_with_misspelled_key_exits_2(tmp_path, capsys, corrupt):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+def test_train_config_with_list_init_exits_2(tmp_path, capsys):
+    path = write_cfg(tmp_path, {**TRAIN_CFG, "init": [{"mode": "kan"}]})
+    assert main(["train", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "init" in err and err.count("\n") == 1
+
+
 def _model_is_a_list(doc):
     return [doc]
 
@@ -360,7 +367,19 @@ def _no_layers(doc):
     return doc
 
 
-@pytest.mark.parametrize("corrupt", [_model_is_a_list, _adapt_is_a_list, _no_layers])
+def _layer_is_a_number(doc):
+    doc["layers"][1] = 3
+    return doc
+
+
+def _feature_is_a_list(doc):
+    feat = doc["layers"][0]["features"][1]
+    doc["layers"][0]["features"][1] = [feat["domain"], feat["hist"]]
+    return doc
+
+
+@pytest.mark.parametrize("corrupt", [_model_is_a_list, _adapt_is_a_list, _no_layers,
+                                     _layer_is_a_number, _feature_is_a_list])
 def test_eval_on_malformed_model_json_exits_2(tmp_path, capsys, corrupt):
     from adaptkan.tasks import save_dataset
     path, doc = _saved_model(tmp_path, [2, 3, 1])

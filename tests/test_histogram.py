@@ -75,7 +75,7 @@ def test_geometric_convergence_small_alpha():
 
 def test_refit_identity_is_noop():
     h = FeatureHistogram(DOM4, alpha=0.1, hist=[1.0, 2.0, 3.0, 4.0], ood_hist=[0.5, 0.25])
-    h2 = h.refit(DOM4)
+    h2 = h.refit(DOM4.a, DOM4.b, DOM4.omega)
     np.testing.assert_allclose(h2.hist, h.hist, atol=1e-15)
     np.testing.assert_allclose(h2.ood_hist, h.ood_hist, atol=1e-15)
     assert h2.total() == pytest.approx(h.total(), abs=1e-15)
@@ -84,8 +84,7 @@ def test_refit_identity_is_noop():
 def test_refit_stretch_deposits_ood_mass():
     h = FeatureHistogram(DOM4, alpha=0.1, hist=[1.0, 1.0, 1.0, 1.0],
                          ood_hist=[5.0, 0.0], ood_a=-2.0)
-    new_dom = GridDomain(-2.0, 1.0, 4, 3)
-    h2 = h.refit(new_dom)
+    h2 = h.refit(-2.0, 1.0, 4)
     # pre-rescale: interpolating [1,1,1,1] at the new centers (-1.625,
     # -0.875, -0.125, 0.625) against old centers (0.125..0.875) leaves only
     # the last center inside, giving [0,0,0,1]; the tally of 5 lands in the
@@ -98,8 +97,7 @@ def test_refit_stretch_deposits_ood_mass():
 
 def test_refit_shrink_moves_mass_to_ood():
     h = FeatureHistogram(DOM4, alpha=0.1, hist=[0.0, 3.0, 3.0, 0.5])
-    new_dom = GridDomain(0.25, 0.75, 4, 3)
-    h2 = h.refit(new_dom)
+    h2 = h.refit(0.25, 0.75, 4)
     assert h2.ood_hist[1] > 0.0  # the 0.5 in the last old bin went right
     assert h2.total() == pytest.approx(h.total(), rel=1e-9)
 
@@ -116,14 +114,14 @@ def test_refit_conserves_total_mass():
         lo = rng.uniform(-2.0, -0.2)
         hi = rng.uniform(0.2, 2.5)
         new_bins = int(rng.integers(2, 30))
-        h2 = h.refit(GridDomain(lo, hi, new_bins, 3))
+        h2 = h.refit(lo, hi, new_bins)
         assert h2.total() == pytest.approx(h.total(), rel=1e-9)
         assert len(h2.hist) == new_bins
 
 
 def test_refit_to_more_bins():
     h = FeatureHistogram(GridDomain(0, 1, 3, 3), alpha=0.1, hist=[3.0, 6.0, 3.0])
-    h2 = h.refit(GridDomain(0, 1, 12, 3))
+    h2 = h.refit(0.0, 1.0, 12)
     assert len(h2.hist) == 12
     assert h2.total() == pytest.approx(h.total(), rel=1e-12)
 
@@ -168,15 +166,19 @@ def test_marginal_prob_rejects_nan_and_floors_infinities():
 
 
 def test_create_histogram_counts_with_histogram_bin():
-    # create_histogram inlines the rule; every knot of several grids, and one
-    # ulp either side of each, must land in the same bin both ways
+    # FeatureHistogram.update inlines the rule; every knot of several grids,
+    # and one ulp either side of each, must land in the same bin every way
     for dom in (DOM4, GridDomain(-2.5, 1.3, 50), GridDomain(0.1, 0.7, 7)):
         edges = dom.edges()
         x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
-        x = x[(x >= dom.a) & (x <= dom.b)]
-        idx = histogram_bin(x, dom.a, dom.b, dom.omega)
-        np.testing.assert_array_equal(np.bincount(idx, minlength=dom.omega),
-                                      create_histogram(x, dom))
+        inside = x[(x >= dom.a) & (x <= dom.b)]
+        expected = np.bincount(histogram_bin(inside, dom.a, dom.b, dom.omega),
+                               minlength=dom.omega)
+        np.testing.assert_array_equal(expected, create_histogram(inside, dom))
+        h = FeatureHistogram(dom, alpha=1.0)
+        h.update(x)
+        np.testing.assert_array_equal(h.hist, expected)
+        np.testing.assert_array_equal(h.ood_hist, [(x < dom.a).sum(), (x > dom.b).sum()])
 
 
 def test_update_alpha_one_idempotent_with_create():

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from adaptkan import network
+from adaptkan.histogram import FeatureHistogram
 from adaptkan.network import init_network, sparsity_penalty
 from adaptkan.spline import _WINDOW_MATS, M_CUBIC, GridDomain, basis
 
@@ -174,10 +175,11 @@ def make_net(shape, omega, mode="kan", seed=0):
     for layer in net.layers:
         for j in range(layer.n):
             a = rng.uniform(-1.5, 0.0)
-            layer.domains[j] = GridDomain(a, a + rng.uniform(0.5, 2.5), omega)
+            layer.hist[j] = FeatureHistogram(GridDomain(a, a + rng.uniform(0.5, 2.5), omega),
+                                            layer.hist.alpha[j])
         if layer.use_base:
-            layer.w_s = rng.uniform(0.5, 1.5, layer.w_s.shape)
-            layer.w_b = rng.uniform(-1.0, 1.0, layer.w_b.shape)
+            layer.w_s[...] = rng.uniform(0.5, 1.5, layer.w_s.shape)
+            layer.w_b[...] = rng.uniform(-1.0, 1.0, layer.w_b.shape)
     return net
 
 

@@ -38,11 +38,11 @@ def test_zero_network_outputs_zero():
 def test_forward_without_record_is_pure():
     net = init_network([2, 3, 1], mode="kan", noise=0.5, seed=1)
     X = np.random.default_rng(2).uniform(-1, 1, (16, 2))
-    h_before = [h.hist.copy() for ly in net.layers for h in ly.hists]
+    h_before = [ly.hist.counts.copy() for ly in net.layers]
     Y1, _ = net.forward(X, record=False)
     Y2, _ = net.forward(X, record=False)
     np.testing.assert_array_equal(Y1, Y2)
-    h_after = [h.hist for ly in net.layers for h in ly.hists]
+    h_after = [ly.hist.counts for ly in net.layers]
     for b, a in zip(h_before, h_after):
         np.testing.assert_array_equal(b, a)
 
@@ -268,7 +268,7 @@ def test_refine_all_preserves_constant_network():
     np.testing.assert_allclose(Y1, Y0, atol=1e-9)
     assert resid <= 1e-10
     assert net.omega == 10
-    assert all(len(h.hist) == 10 for ly in net.layers for h in ly.hists)
+    assert all(ly.hist.hist.shape == (ly.n, 10) for ly in net.layers)
 
 
 def test_refine_all_rmse_bounded_by_residual():
@@ -290,8 +290,7 @@ def test_refine_all_rmse_bounded_by_residual():
 def test_record_forward_noop_on_healthy_histograms():
     net = init_network([2, 3], mode="kan", seed=61, cfg=AdaptConfig(alpha=0.5))
     for ly in net.layers:
-        for h in ly.hists:
-            h.hist[:] = 5.0  # healthy everywhere, empty ood
+        ly.hist.hist[:] = 5.0  # healthy everywhere, empty ood
     domains = [list(ly.domains) for ly in net.layers]
     # one sample in every bin keeps the histograms healthy
     X = np.repeat(net.layers[0].domains[0].centers()[:, None], 2, axis=1)
@@ -320,3 +319,59 @@ def test_record_forward_shrinks_away_from_empty_edges():
         net.forward(rng.uniform(-0.5, 0.5, (64, 1)), record=True)
     dom = net.layers[0].domains[0]
     assert dom.b - dom.a < 5.0
+
+
+def _assert_parameters_view_layers(net):
+    (flat,) = net.parameters()
+    arrays = [getattr(ly, name) for ly in net.layers for name in ly.trainable()]
+    np.testing.assert_array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
+    for arr in arrays:
+        assert np.shares_memory(arr, flat)
+    flat[0] += 1.0  # an optimiser step moves the layer's own weights
+    assert net.layers[0].coef.flat[0] == flat[0]
+
+
+def test_backward_gradients_do_not_alias():
+    net = init_network([2, 3, 1], mode="kan", noise=0.5, seed=4)
+    X = np.random.default_rng(5).uniform(-1, 1, (8, 2))
+    _, caches = net.forward(X)
+    g1 = net.gradient_list(net.backward(caches, np.ones((8, 1)))[0])
+    g2 = net.gradient_list(net.backward(caches, np.ones((8, 1)))[0])
+    (p,) = net.parameters()
+    assert len(g1) == len(g2) == 1 and g1[0].shape == p.shape
+    assert not np.shares_memory(g1[0], g2[0])
+    np.testing.assert_array_equal(g1[0], g2[0])
+    g1[0] += 1.0
+    assert not np.array_equal(g1[0], g2[0])
+
+
+def test_parameters_follow_refine_adaptation_and_load(tmp_path):
+    from adaptkan.model_io import load_model, save_model
+    net = init_network([2, 3, 1], mode="kan", noise=0.5, seed=6,
+                       cfg=AdaptConfig(alpha=0.5, stretch_mode="max"))
+    _assert_parameters_view_layers(net)
+    net.refine_all(5)
+    _assert_parameters_view_layers(net)
+    net.forward(np.random.default_rng(7).uniform(2.0, 3.0, (16, 2)), record=True)
+    assert net.adapt_events > 0
+    _assert_parameters_view_layers(net)
+    save_model(net, tmp_path / "m.json")
+    _assert_parameters_view_layers(load_model(tmp_path / "m.json"))
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    from adaptkan.model_io import load_model, save_model
+    from adaptkan.optim import TrainPlan, train
+    rng = np.random.default_rng(8)
+    X = rng.uniform(-1.5, 1.5, (128, 2))
+    y = X[:, 0] * X[:, 1]
+    net = init_network([2, 3, 1], mode="kan", noise=0.5, seed=8,
+                       cfg=AdaptConfig(alpha=0.05, stretch_mode="max"))
+    train(net, (X, y, X, y), TrainPlan(rounds=[{"lr": 1e-2, "steps": 20, "omega": 3},
+                                              {"lr": 1e-2, "steps": 20, "omega": 5}],
+                                      batch_size=32, seed=8))
+    assert net.adapt_events > 0
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_model(net, first)
+    save_model(load_model(first), second)
+    assert first.read_bytes() == second.read_bytes()

@@ -6,15 +6,16 @@ import pytest
 from adaptkan.spline import (
     GridDomain,
     M_CUBIC,
-    activation_dw,
     activation_dz,
     basis,
     basis_matrix,
+    dense_basis,
     eval_activation,
     greville_abscissae,
     refine_grid,
     refit_greville,
     refit_least_squares,
+    window_columns,
 )
 
 DOM4 = GridDomain(0.0, 1.0, 4, 3)
@@ -165,20 +166,27 @@ def test_dz_outside_domain_is_zero():
     assert activation_dz(4.0, w, DOM4) == 0.0
 
 
+def weight_grad(z, dom):
+    """Gradient of the spline value w.r.t. its weights at each z: (len(z), P)."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    bins, (C,) = basis(z[:, None], dom.a, dom.d, dom.omega)
+    return dense_basis(window_columns(bins, dom.n_coef), C, np.empty((len(z), dom.n_coef)))
+
+
 def test_dw_basis_properties():
     rng = np.random.default_rng(13)
     z = rng.uniform(-1.0, 2.0, size=100)  # includes out-of-domain points
-    basis = activation_dw(z, DOM4)
-    assert basis.shape == (100, DOM4.n_coef)
-    np.testing.assert_allclose(basis.sum(axis=1), 1.0, atol=1e-12)
-    assert basis.min() >= -1e-15
+    grad = weight_grad(z, DOM4)
+    assert grad.shape == (100, DOM4.n_coef)
+    np.testing.assert_allclose(grad.sum(axis=1), 1.0, atol=1e-12)
+    assert grad.min() >= -1e-15
 
 
 def test_dw_at_knot_is_last_matrix_column():
-    basis = activation_dw(0.25, DOM4)
+    grad = weight_grad(0.25, DOM4)[0]
     expected = np.zeros(DOM4.n_coef)
     expected[1:5] = [2.0 / 12.0, 8.0 / 12.0, 2.0 / 12.0, 0.0]
-    np.testing.assert_allclose(basis, expected, atol=1e-15)
+    np.testing.assert_allclose(grad, expected, atol=1e-15)
 
 
 def test_dw_matches_finite_difference():
@@ -186,14 +194,14 @@ def test_dw_matches_finite_difference():
     dom = GridDomain(-2.0, 3.0, 6, 3)
     w = rng.standard_normal(dom.n_coef)
     z = float(rng.uniform(dom.a, dom.b))
-    basis = activation_dw(z, dom)
+    grad = weight_grad(z, dom)[0]
     h = 1e-7
     for i in range(dom.n_coef):
         wp, wm = w.copy(), w.copy()
         wp[i] += h
         wm[i] -= h
         fd = (eval_activation(z, wp, dom) - eval_activation(z, wm, dom)) / (2 * h)
-        assert abs(basis[i] - fd) <= 1e-8
+        assert abs(grad[i] - fd) <= 1e-8
 
 
 def test_greville_examples():
