@@ -40,7 +40,7 @@ best = min(h["test_rmse"] for h in history)
 print(f"\nbest test RMSE over rounds: {best:.3e}")
 
 print("\nlearned layer-1 domains (initialised at [-1, 1]):")
-for j, dom in enumerate(net.layers[0].domains):
+for j, dom in enumerate(net.layers[0].hist.domains):
     print(f"  input {j}: [{dom.a:+.3f}, {dom.b:+.3f}] with {dom.omega} intervals")
 
 print("\nsame run via the CLI:")

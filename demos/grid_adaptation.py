@@ -10,39 +10,36 @@ Run: python demos/grid_adaptation.py
 
 import numpy as np
 
-from adaptkan import AdaptConfig, FeatureHistogram, GridDomain, decide, shrink_threshold
-from adaptkan.adapt import apply_adapt
+from adaptkan import AdaptConfig, FeatureHistogram, apply_adapt, decide, shrink_threshold
 
 rng = np.random.default_rng(1)
 cfg = AdaptConfig(alpha=0.05, prune_patience=1, stretch_mode="half_max")
-dom = GridDomain(-1.0, 1.0, omega=8, k=3)
-hist = FeatureHistogram(dom, cfg.alpha)
-coef = rng.standard_normal((1, dom.n_coef))
+# a layer with one input feature and one output: domain [-1, 1], 8 intervals
+hist = FeatureHistogram([-1.0], [1.0], omega=8, alpha=cfg.alpha)
+coef = rng.standard_normal((1, 1, hist.omega + 3))
 
 print(f"shrink threshold tau = {shrink_threshold(cfg):.4f}")
-print(f"start: domain [{dom.a:+.3f}, {dom.b:+.3f}]")
+print(f"start: domain [{hist.a[0]:+.3f}, {hist.b[0]:+.3f}]")
 
 # Phase 1: the data slowly drifts right, out of the initial domain.
 print("\n-- drifting stream --")
 for step in range(60):
-    batch = rng.normal(0.5 + 0.05 * step, 0.4, size=64)
-    hist.update(batch)
-    decision = decide(hist, cfg)
-    if decision.kind != "none":
-        dom, coef, hist = apply_adapt(dom, coef, hist, decision, cfg)
-        print(f"step {step:3d}: {decision.kind:7s} -> [{dom.a:+.3f}, {dom.b:+.3f}]")
+    hist.update(rng.normal(0.5 + 0.05 * step, 0.4, size=(64, 1)))
+    decision = decide(hist, cfg).get(0)
+    if decision and decision.kind != "none":
+        coef, hist, _ = apply_adapt(hist, coef, {0: decision}, cfg)
+        print(f"step {step:3d}: {decision.kind:7s} -> [{hist.a[0]:+.3f}, {hist.b[0]:+.3f}]")
 
 # Phase 2: the data settles in a narrow band; stale edges get pruned.
 print("\n-- settled stream --")
 for step in range(200):
-    batch = rng.normal(2.0, 0.3, size=64)
-    hist.update(batch)
-    decision = decide(hist, cfg)
-    if decision.kind != "none":
-        dom, coef, hist = apply_adapt(dom, coef, hist, decision, cfg)
-        print(f"step {step:3d}: {decision.kind:7s} -> [{dom.a:+.3f}, {dom.b:+.3f}]")
+    hist.update(rng.normal(2.0, 0.3, size=(64, 1)))
+    decision = decide(hist, cfg).get(0)
+    if decision and decision.kind != "none":
+        coef, hist, _ = apply_adapt(hist, coef, {0: decision}, cfg)
+        print(f"step {step:3d}: {decision.kind:7s} -> [{hist.a[0]:+.3f}, {hist.b[0]:+.3f}]")
 
-print(f"\nfinal domain [{dom.a:+.3f}, {dom.b:+.3f}] "
+print(f"\nfinal domain [{hist.a[0]:+.3f}, {hist.b[0]:+.3f}] "
       f"around data mean 2.0 +/- 0.3")
 print("final histogram (EMA counts per bin):")
-print(np.round(hist.hist, 2), " ood:", np.round(hist.ood_hist, 4))
+print(np.round(hist.hist[0], 2), " ood:", np.round(hist.ood_hist[0], 4))

@@ -24,7 +24,7 @@ from .clf import (
     sontag_control,
     train_clf,
 )
-from .histogram import FeatureHistogram, create_histogram
+from .histogram import FeatureHistogram
 from .model_io import load_model, save_model
 from .network import (
     AdaptKanLayer,

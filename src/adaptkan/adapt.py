@@ -1,14 +1,16 @@
-"""Stretch/shrink decision logic and domain updates for a layer's features.
+"""Stretch/shrink decisions and domain updates for a layer's features.
 
-At every training step each feature's histogram is inspected: if an edge bin
-and its out-of-domain tally have both decayed to (or below) the shrink
-threshold, the domain contracts to the span of bins still above it; if an
-out-of-domain tally has grown past the configured stretch threshold, the
-domain expands to the running extremes instead (the stretch check runs last
-and wins).  Weights and histogram are then refit onto the new interval,
-keeping the number of grid intervals fixed.
+At every training step each feature of a layer's histogram is inspected: if
+an edge bin and its out-of-domain tally have both decayed to (or below) the
+feature's shrink threshold, built from its own EMA rate, the domain
+contracts to the span of bins still above it; if an out-of-domain tally has
+grown past the configured stretch threshold, the domain expands to the
+running extremes instead (the stretch check runs last and wins).
+:func:`decide` returns the decisions of the features that fire, and
+:func:`apply_adapt` refits their weight rows and moves the layer's histogram
+with one refit, keeping the number of grid intervals fixed.
 
-A manual baseline is also provided that simply snaps the domain to the
+A manual baseline is also provided that simply snaps every domain to the
 min/max of a single batch.
 """
 
@@ -74,21 +76,23 @@ class Decision:
     note: str = ""
 
 
-def shrink_threshold(cfg: AdaptConfig, hist: np.ndarray | None = None):
-    """Stale-bin threshold.
+def shrink_threshold(cfg: AdaptConfig, hist: np.ndarray | None = None, alpha=None):
+    """Stale-bin threshold, from each feature's EMA rate ``alpha`` (scalar or
+    (n,) array; ``cfg.alpha`` by default).
 
     Fixed rule: N * (1-alpha)^p * alpha, built by repeated multiplication so
     it matches, operation for operation, the value an initial alpha count
     decays to after p clean EMA updates.  Relative rule: max(hist) * alpha
     along the last axis of ``hist``, so one threshold per feature.
     """
+    alpha = cfg.alpha if alpha is None else alpha
     if cfg.shrink_rule == "relative":
         if hist is None:
             raise ValueError("relative shrink rule needs the current histogram")
-        return np.max(hist, axis=-1) * cfg.alpha
-    tau = cfg.alpha
+        return np.max(hist, axis=-1) * alpha
+    tau = alpha
     for _ in range(cfg.prune_patience):
-        tau = tau * (1.0 - cfg.alpha)
+        tau = tau * (1.0 - alpha)
     return cfg.outlier_count * tau
 
 
@@ -108,50 +112,46 @@ def _stretch_triggers(hist: np.ndarray, ood: np.ndarray, edges: np.ndarray,
     return ood > thr[..., None]
 
 
-def decide(h: FeatureHistogram, cfg: AdaptConfig):
-    """Pure adaptation decisions for every feature of a histogram.
+def decide(h: FeatureHistogram, cfg: AdaptConfig) -> dict:
+    """Pure adaptation decisions for every feature of a layer's histogram.
 
     Shrink fires when an edge bin and its out-of-domain tally are both at or
-    below the shrink threshold; the new bounds are the outermost bin edges
-    whose bins still exceed it.  The stretch check is evaluated afterwards
-    and overrides a shrink, expanding to the recorded extremes on both sides.
-    Stale and stretching features are found with masks over all features at
-    once, and only they are examined one by one.
+    below the feature's shrink threshold, built from its own alpha; the new
+    bounds are the outermost bin edges whose bins still exceed it.  The
+    stretch check is evaluated afterwards and overrides a shrink, expanding
+    to the recorded extremes on both sides.  Stale and stretching features
+    are found with masks over all features at once, and only they are
+    examined one by one.
 
-    Returns a :class:`Decision` for a one-feature histogram.  For a layer's
-    histogram returns {feature index: Decision} holding each shrink, each
-    stretch and each 'none' that carries a note; every other feature keeps
-    its domain.
+    Returns {feature index: Decision} holding each shrink, each stretch and
+    each 'none' that carries a note; every other feature keeps its domain.
     """
     hist, ood = h.hist, h.ood_hist
-    tau = np.asarray(shrink_threshold(cfg, hist))[..., None]
-    edges = hist[..., ::max(h.omega - 1, 1)]  # first and last bin (one bin if omega = 1)
+    tau = shrink_threshold(cfg, hist, h.alpha)[:, None]
+    edges = hist[:, ::max(h.omega - 1, 1)]  # first and last bin (one bin if omega = 1)
     # [left, right] per feature
     stale = np.maximum(ood, edges) <= tau
     stretch = _stretch_triggers(hist, ood, edges, cfg)
     fire = stale | stretch
     decisions = {}
-    if fire.any():
-        hist, a, b = hist.reshape(-1, h.omega), h.a.reshape(-1), h.b.reshape(-1)
-        tau = np.broadcast_to(tau, h.a.shape + (1,)).reshape(-1)
-        stale, stretch = stale.reshape(-1, 2), stretch.reshape(-1, 2)
-        for j in np.flatnonzero(fire.reshape(-1, 2).any(axis=1)).tolist():
-            if stretch[j].any():
-                lo, hi = h.extremes.reshape(-1, 2)[j].tolist()
-                decisions[j] = Decision("stretch", lo, hi)
-                continue
-            keep = np.flatnonzero(hist[j] > tau[j])
-            if len(keep) == 0:
-                decisions[j] = Decision(
-                    "none", note="no bin above shrink threshold; domain would collapse")
-                continue
-            grid = np.linspace(a[j], b[j], h.omega + 1)
-            new_a = grid[keep[0]] if stale[j, 0] else a[j]
-            new_b = grid[keep[-1] + 1] if stale[j, 1] else b[j]
-            if new_a != a[j] or new_b != b[j]:
-                decisions[j] = Decision("shrink", float(new_a), float(new_b))
-    if h.a.ndim == 0:
-        return decisions.get(0, Decision("none"))
+    if not fire.any():
+        return decisions
+    for j in np.flatnonzero(fire.any(axis=1)).tolist():
+        if stretch[j].any():
+            lo, hi = h.extremes[j].tolist()
+            decisions[j] = Decision("stretch", lo, hi)
+            continue
+        keep = np.flatnonzero(hist[j] > tau[j])
+        if len(keep) == 0:
+            decisions[j] = Decision(
+                "none", note="no bin above shrink threshold; domain would collapse")
+            continue
+        a, b = h.a[j], h.b[j]
+        grid = np.linspace(a, b, h.omega + 1)
+        new_a = grid[keep[0]] if stale[j, 0] else a
+        new_b = grid[keep[-1] + 1] if stale[j, 1] else b
+        if new_a != a or new_b != b:
+            decisions[j] = Decision("shrink", float(new_a), float(new_b))
     return decisions
 
 
@@ -162,45 +162,49 @@ def _refit_weights(coef, dom: GridDomain, new_dom: GridDomain, cfg: AdaptConfig)
     return refit_greville(coef, dom, new_dom)
 
 
-def apply_adapt(dom: GridDomain, coef: np.ndarray, hist: FeatureHistogram,
-                decision: Decision, cfg: AdaptConfig):
-    """Apply a decision to one feature's (domain, weight rows, histogram).
+def apply_adapt(hist: FeatureHistogram, coef: np.ndarray, decisions: dict, cfg: AdaptConfig):
+    """Apply a layer's decisions to its histogram and weights (n, m, P).
 
-    The interval count stays fixed; every weight row touching this feature is
-    refit onto the new bounds and the one-feature histogram is transferred.
-    After a stretch the recorded extremes are reset to the new bounds.
-    Returns the (possibly unchanged) triple.
+    The interval count stays fixed.  The weight rows of every feature that
+    shrinks or stretches are refit onto its new bounds, and the histogram is
+    transferred with one refit; after a stretch the feature's recorded
+    extremes are reset to its new bounds.  Returns (coef, hist, events),
+    events being the number of features whose domain moved; with none, the
+    given coef and hist come back as they are.
     """
-    if decision.kind == "none":
-        return dom, coef, hist
-    new_dom = GridDomain(decision.a, decision.b, dom.omega, dom.k)
-    new_coef = _refit_weights(coef, dom, new_dom, cfg)
-    new_hist = hist.refit(new_dom.a, new_dom.b, new_dom.omega)
-    if decision.kind == "stretch":
-        new_hist.extremes[...] = (new_dom.a, new_dom.b)
-    return new_dom, new_coef, new_hist
+    moved = {j: d for j, d in decisions.items() if d.kind != "none"}
+    if not moved:
+        return coef, hist, 0
+    a, b = hist.a.copy(), hist.b.copy()
+    new_coef = coef.copy()
+    doms = hist.domains
+    for j, d in moved.items():
+        a[j], b[j] = d.a, d.b
+        new_coef[j] = _refit_weights(coef[j], doms[j], GridDomain(d.a, d.b, hist.omega), cfg)
+    new_hist = hist.refit(a, b, hist.omega)
+    for j, d in moved.items():
+        if d.kind == "stretch":
+            new_hist.extremes[j] = (d.a, d.b)
+    return new_coef, new_hist, len(moved)
 
 
 def manual_adapt(hist: FeatureHistogram, coef: np.ndarray, batch, cfg: AdaptConfig):
     """Force every feature's domain to the min/max of one batch and refit.
 
-    ``batch`` is (B,) + S for a histogram of feature shape S (a layer's
-    (B, n) inputs, or (B,) for one feature) and ``coef`` S + (m, P) holds
-    the weight rows of those features.  Each histogram is rebuilt from the
-    batch alone (no memory), keeping its alpha.  A degenerate feature
-    (max == min) is widened symmetrically by 1e-6.  Returns (coef, hist).
+    ``batch`` is a layer's (B, n) inputs and ``coef`` (n, m, P) the weight
+    rows of its n features.  Each histogram is rebuilt from the batch alone
+    (no memory), keeping its alpha.  A degenerate feature (max == min) is
+    widened symmetrically by 1e-6.  Returns (coef, hist).
     """
     Z = np.asarray(batch, dtype=float)
     if not np.all(np.isfinite(Z)):
         raise ValueError("non-finite values in manual-adapt batch")
     lo, hi = Z.min(axis=0), Z.max(axis=0)
     flat = lo == hi
-    new_hist = FeatureHistogram.from_arrays(np.where(flat, lo - 1e-6, lo),
-                                            np.where(flat, hi + 1e-6, hi),
-                                            hist.omega, hist.k, hist.alpha)
+    new_hist = FeatureHistogram(np.where(flat, lo - 1e-6, lo), np.where(flat, hi + 1e-6, hi),
+                                hist.omega, hist.alpha)
     new_hist.counts[...] = new_hist.batch_counts(Z)[0]
-    rows = coef.reshape((-1,) + coef.shape[-2:])
     # the weight refits run one feature at a time
     new_coef = np.stack([_refit_weights(w, dom, new_dom, cfg) for w, dom, new_dom
-                         in zip(rows, hist.domains, new_hist.domains)])
-    return new_coef.reshape(coef.shape), new_hist
+                         in zip(coef, hist.domains, new_hist.domains)])
+    return new_coef, new_hist

@@ -1,4 +1,4 @@
-"""Streaming histograms with out-of-domain tracking, one feature or a layer's n.
+"""Streaming histograms with out-of-domain tracking for a layer's n features.
 
 Each grid domain carries a histogram with one bin per grid interval plus two
 out-of-domain tallies (below a / above b) and the running extremes ever seen
@@ -6,20 +6,19 @@ outside the domain.  Batches update the bins as an exponential moving
 average of raw counts, so a single outlier's contribution decays
 geometrically once it stops appearing.
 
-A :class:`FeatureHistogram` holds this state as arrays whose leading shape S
-is () for one feature or (n,) for the n input features of a layer:
+A :class:`FeatureHistogram` holds this state as arrays over the n >= 1 input
+features of a layer:
 
-    a, b      S              domain bounds, each split into ``omega`` intervals
-    counts    S + (omega+2,)  column 0 tallies data below a, columns
-                              1..omega are the in-domain bins, column
-                              omega+1 tallies data above b
-    extremes  S + (2,)        running min below a / max above b
-    alpha     S              EMA rate per feature
+    a, b      (n,)           domain bounds, each split into ``omega`` intervals
+    counts    (n, omega+2)   column 0 tallies data below a, columns
+                             1..omega are the in-domain bins, column
+                             omega+1 tallies data above b
+    extremes  (n, 2)         running min below a / max above b
+    alpha     (n,)           EMA rate per feature
 
 so a layer counts a whole (B, n) batch with one offset ``bincount`` and one
-EMA.  The one-feature histogram, ``FeatureHistogram(GridDomain, alpha)``,
-is the n = 1 case of the same code, and ``h[j]`` / ``h[j] = g`` move one
-feature of a layer in and out of that form.
+EMA, and moves any of its domains with one :meth:`FeatureHistogram.refit`.
+A single feature is the n = 1 layer.
 
 Training and OOD histograms alike count and read bins by one rule,
 :func:`histogram_bin`, so a value is read back from the bin it was counted in.
@@ -63,86 +62,45 @@ def floored_prob(x, counts, a, b) -> np.ndarray:
     return np.where((x >= a) & (x <= b), p, PROB_FLOOR)
 
 
-def create_histogram(samples, dom: GridDomain) -> np.ndarray:
-    """Uniform-width bin counts of in-domain samples, binned by histogram_bin."""
-    samples = np.asarray(samples, dtype=float)
-    return np.bincount(histogram_bin(samples, dom.a, dom.b, dom.omega).ravel(),
-                       minlength=dom.omega).astype(float)
-
-
 class FeatureHistogram:
-    """EMA bin counts over the grid domains of one feature or of a layer.
+    """EMA bin counts over the grid domains of a layer's n input features.
 
-    ``FeatureHistogram(dom, alpha, hist, ood_hist, ood_a, ood_b)`` builds the
-    one-feature histogram; :meth:`stack` joins n of them into a layer's.
-    The state arrays are described in the module docstring.  The names of
-    the one-feature form read the same columns for any n:
+    ``FeatureHistogram(a, b, omega, alpha, counts, extremes)`` copies its
+    state arrays, described in the module docstring; ``alpha`` may be one
+    rate for all features.  By default the counts are zero and the extremes
+    sit at the bounds, so an untouched side never moves the domain.  The
+    bounds must be finite with a < b, omega >= 1, 0 < alpha <= 1, and the
+    counts and extremes finite.
 
-    hist : S + (omega,) EMA counts over the in-domain bins.
-    ood_hist : S + (2,) EMA counts of data below a / above b.
-    ood_a, ood_b : running min below a / max above b ever seen (initialised
-        to a and b, so an untouched side never moves the domain).
-    alpha : EMA rate in (0, 1]; alpha=1 keeps no memory.
+    hist : (n, omega) view of the EMA counts over the in-domain bins.
+    ood_hist : (n, 2) view of the EMA counts of data below a / above b.
     """
 
-    def __init__(self, dom: GridDomain, alpha: float, hist=None, ood_hist=None,
-                 ood_a=None, ood_b=None):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"need 0 < alpha <= 1, got {alpha}")
-        hist = np.zeros(dom.omega) if hist is None else np.asarray(hist, dtype=float)
-        ood_hist = np.zeros(2) if ood_hist is None else np.asarray(ood_hist, dtype=float)
-        if hist.shape != (dom.omega,):
-            raise ValueError(f"hist shape {hist.shape} != ({dom.omega},)")
-        if ood_hist.shape != (2,):
-            raise ValueError(f"ood_hist shape {ood_hist.shape} != (2,)")
-        self._set(dom.a, dom.b, dom.omega, dom.k, alpha,
-                  np.concatenate([ood_hist[:1], hist, ood_hist[1:]]),
-                  [dom.a if ood_a is None else ood_a, dom.b if ood_b is None else ood_b])
-
-    def _set(self, a, b, omega, k, alpha, counts, extremes) -> None:
+    def __init__(self, a, b, omega: int, alpha, counts=None, extremes=None):
         self.a = np.array(a, dtype=float)
         self.b = np.array(b, dtype=float)
         self.omega = int(omega)
-        self.k = int(k)
-        self.alpha = np.array(alpha, dtype=float)
-        self.counts = np.array(counts, dtype=float)
-        self.extremes = np.array(extremes, dtype=float)
-
-    @classmethod
-    def from_arrays(cls, a, b, omega: int, k: int, alpha, counts=None,
-                    extremes=None) -> "FeatureHistogram":
-        """Histogram over the domains [a, b] (shape S) from its state arrays
-        (copied); by default no counts and extremes at the bounds."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        h = cls.__new__(cls)
-        h._set(a, b, omega, k, alpha,
-               np.zeros(a.shape + (omega + 2,)) if counts is None else counts,
-               np.stack([a, b], axis=-1) if extremes is None else extremes)
-        return h
-
-    @classmethod
-    def stack(cls, hists) -> "FeatureHistogram":
-        """One layer histogram from n one-feature histograms (copied)."""
-        hists = list(hists)
-        if len({(h.omega, h.k) for h in hists}) != 1:
-            raise ValueError("a layer needs one or more features, all with the same omega and k")
-        state = {key: np.stack([getattr(h, key) for h in hists])
-                 for key in ("a", "b", "alpha", "counts", "extremes")}
-        return cls.from_arrays(omega=hists[0].omega, k=hists[0].k, **state)
-
-    def __getitem__(self, j) -> "FeatureHistogram":
-        """Feature j of a layer histogram, as a one-feature histogram (a copy)."""
-        return self.from_arrays(self.a[j], self.b[j], self.omega, self.k, self.alpha[j],
-                                self.counts[j], self.extremes[j])
-
-    def __setitem__(self, j, h: "FeatureHistogram") -> None:
-        """Overwrite feature j of a layer histogram with a one-feature histogram."""
-        if (h.omega, h.k) != (self.omega, self.k):
-            raise ValueError(f"feature grid ({h.omega}, {h.k}) != layer grid ({self.omega}, {self.k})")
-        self.a[j], self.b[j], self.alpha[j] = h.a, h.b, h.alpha
-        self.counts[j] = h.counts
-        self.extremes[j] = h.extremes
+        n = self.a.shape
+        if self.a.ndim != 1 or self.a.size == 0 or self.b.shape != n:
+            raise ValueError(f"need bounds of one shape (n,), n >= 1, got {self.a.shape} "
+                             f"and {self.b.shape}")
+        if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()
+                and (self.a < self.b).all()):
+            raise ValueError("domain bounds must be finite with a < b")
+        if self.omega < 1:
+            raise ValueError(f"need omega >= 1, got {omega}")
+        self.alpha = np.array(np.broadcast_to(alpha, n), dtype=float)
+        if not ((0.0 < self.alpha) & (self.alpha <= 1.0)).all():
+            raise ValueError(f"need 0 < alpha <= 1, got {alpha}")
+        self.counts = (np.zeros(n + (self.omega + 2,)) if counts is None
+                       else np.array(counts, dtype=float))
+        self.extremes = (np.stack([self.a, self.b], axis=-1) if extremes is None
+                         else np.array(extremes, dtype=float))
+        for name, shape in (("counts", n + (self.omega + 2,)), ("extremes", n + (2,))):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"non-finite {name}")
 
     @property
     def d(self) -> np.ndarray:
@@ -151,37 +109,19 @@ class FeatureHistogram:
 
     @property
     def domains(self) -> list:
-        """One GridDomain per feature."""
-        return [GridDomain(a, b, self.omega, self.k)
-                for a, b in zip(self.a.reshape(-1).tolist(), self.b.reshape(-1).tolist())]
-
-    @property
-    def dom(self) -> GridDomain:
-        """Grid domain of a one-feature histogram."""
-        return self.domains[0]
+        """One cubic GridDomain per feature."""
+        return [GridDomain(a, b, self.omega) for a, b in zip(self.a.tolist(), self.b.tolist())]
 
     @property
     def hist(self) -> np.ndarray:
-        return self.counts[..., 1:-1]
+        return self.counts[:, 1:-1]
 
     @property
     def ood_hist(self) -> np.ndarray:
-        return self.counts[..., ::self.omega + 1]
-
-    @property
-    def ood_a(self):
-        return self.extremes[..., 0][()]
-
-    @property
-    def ood_b(self):
-        return self.extremes[..., 1][()]
-
-    def total(self):
-        """Total EMA count including the out-of-domain tallies, per feature."""
-        return self.hist.sum(axis=-1) + self.ood_hist.sum(axis=-1)
+        return self.counts[:, ::self.omega + 1]
 
     def batch_counts(self, batch):
-        """Raw counts S + (omega+2,) of a finite batch (B,) + S, laid out like
+        """Raw counts (n, omega+2) of a finite batch (B, n), laid out like
         ``counts``, and the masks of its values below a and above b.
 
         In-domain values are binned by :func:`histogram_bin`.
@@ -202,7 +142,7 @@ class FeatureHistogram:
         return counts.reshape(self.counts.shape), below, above
 
     def update(self, batch) -> "FeatureHistogram":
-        """Blend one batch, (B,) + S, into the EMA state (in place).
+        """Blend one batch (B, n) into the EMA state (in place).
 
         Counts each feature's values below a / in each bin / above b, updates
         the running extremes, and applies counts <- (1-alpha)*counts +
@@ -212,20 +152,20 @@ class FeatureHistogram:
         if not np.isfinite(Z).all():
             raise ValueError("non-finite values in histogram batch")
         counts, below, above = self.batch_counts(Z)
-        alpha = self.alpha[..., None]
+        alpha = self.alpha[:, None]
         self.counts *= 1.0 - alpha
         self.counts += alpha * counts
         if below.any():
-            np.minimum(self.extremes[..., 0], np.where(below, Z, np.inf).min(axis=0),
-                       out=self.extremes[..., 0])
+            np.minimum(self.extremes[:, 0], np.where(below, Z, np.inf).min(axis=0),
+                       out=self.extremes[:, 0])
         if above.any():
-            np.maximum(self.extremes[..., 1], np.where(above, Z, -np.inf).max(axis=0),
-                       out=self.extremes[..., 1])
+            np.maximum(self.extremes[:, 1], np.where(above, Z, -np.inf).max(axis=0),
+                       out=self.extremes[:, 1])
         return self
 
     def refit(self, a, b, omega: int) -> "FeatureHistogram":
-        """Transfer the EMA state onto the domains [a, b] (shape S) with
-        ``omega`` intervals, conserving each feature's total count.
+        """Transfer the EMA state onto the domains [a, b] (n,) with ``omega``
+        intervals, conserving each feature's total count.
 
         New bin values come from piecewise-linear interpolation of the old
         values (nodes at old bin centers, zero beyond them).  Per side:
@@ -233,23 +173,16 @@ class FeatureHistogram:
         the recorded extreme and zeroes it; shrinking folds the old in-domain
         mass now outside the bounds into the tally.  Everything is then
         rescaled so the grand total matches the pre-refit total.  The
-        extremes widen to the new bounds.
+        extremes widen to the new bounds.  A feature whose bounds and omega
+        stay the same keeps its counts bitwise.
         """
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         # np.interp takes one feature at a time
-        counts = [_transfer(*row, omega) for row in zip(
-            self.a.reshape(-1), self.b.reshape(-1), self.counts.reshape(-1, self.omega + 2),
-            self.extremes.reshape(-1, 2), a.reshape(-1), b.reshape(-1))]
-        extremes = np.stack([np.minimum(self.extremes[..., 0], a),
-                             np.maximum(self.extremes[..., 1], b)], axis=-1)
-        return self.from_arrays(a, b, omega, self.k, self.alpha,
-                                np.reshape(counts, a.shape + (omega + 2,)), extremes)
-
-    def marginal_prob(self, x):
-        """Normalised bin value at x (see :func:`floored_prob`), one feature."""
-        p = floored_prob(np.asarray(x, dtype=float)[..., None], self.hist[None],
-                         self.a, self.b)[..., 0]
-        return float(p) if p.ndim == 0 else p
+        counts = [_transfer(*row, omega) for row in zip(self.a, self.b, self.counts,
+                                                         self.extremes, a, b)]
+        extremes = np.stack([np.minimum(self.extremes[:, 0], a),
+                             np.maximum(self.extremes[:, 1], b)], axis=-1)
+        return FeatureHistogram(a, b, omega, self.alpha, counts, extremes)
 
 
 def _centers(a, b, omega: int) -> np.ndarray:

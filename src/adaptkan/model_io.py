@@ -26,7 +26,7 @@ def _layer_to_dict(layer: AdaptKanLayer) -> dict:
         "use_base": layer.use_base,
         "features": [
             {
-                "domain": {"a": a, "b": b, "omega": h.omega, "k": h.k},
+                "domain": {"a": a, "b": b, "omega": h.omega, "k": 3},
                 "hist": {"hist": hist, "ood_hist": ood, "ood_a": lo, "ood_b": hi,
                          "alpha": alpha},
             }
@@ -40,10 +40,19 @@ def _layer_to_dict(layer: AdaptKanLayer) -> dict:
     }
 
 
-def _feature_hist(feat: dict) -> FeatureHistogram:
-    h = feat["hist"]
-    return FeatureHistogram(GridDomain(**feat["domain"]), h["alpha"], hist=h["hist"],
-                            ood_hist=h["ood_hist"], ood_a=h["ood_a"], ood_b=h["ood_b"])
+def _layer_hist(features) -> FeatureHistogram:
+    """A layer's histogram from its per-feature JSON objects."""
+    doms = [GridDomain(**f["domain"]) for f in features]
+    hists = [f["hist"] for f in features]
+    if not doms or {(dom.omega, dom.k) for dom in doms} != {(doms[0].omega, 3)}:
+        raise ValueError("a layer needs one or more cubic (k = 3) features, all with one omega")
+    if {len(h["ood_hist"]) for h in hists} != {2}:
+        raise ValueError("every feature needs two out-of-domain tallies")
+    # counts rows [below a, bins..., above b]; the constructor checks their width
+    return FeatureHistogram([dom.a for dom in doms], [dom.b for dom in doms], doms[0].omega,
+                            [h["alpha"] for h in hists],
+                            [h["ood_hist"][:1] + h["hist"] + h["ood_hist"][1:] for h in hists],
+                            [[h["ood_a"], h["ood_b"]] for h in hists])
 
 
 def _layer_from_dict(d) -> AdaptKanLayer:
@@ -51,7 +60,7 @@ def _layer_from_dict(d) -> AdaptKanLayer:
     it (a layer or feature that is not an object, say) raises ValueError."""
     try:
         return AdaptKanLayer(d["n"], d["m"],
-                             FeatureHistogram.stack(_feature_hist(f) for f in d["features"]),
+                             _layer_hist(d["features"]),
                              np.asarray(d["coef"], dtype=float),
                              np.asarray(d["w_s"], dtype=float),
                              np.asarray(d["w_b"], dtype=float),

@@ -10,10 +10,11 @@ Every input feature of every layer owns a grid domain and an EMA histogram.
 A layer keeps them as one :class:`~adaptkan.histogram.FeatureHistogram` of
 its n features: bounds a, b (n,), counts (n, omega+2) with the below-a and
 above-b tallies as first and last columns, extremes (n, 2) and alpha (n,).
-With ``record=True`` the forward pass updates each layer's histogram with
-the whole batch, decides for all its features at once, and refits only the
-features that fire, before evaluating, so layers adapt to the data they are
-about to see.
+With ``record=True`` the forward pass runs, per layer and before evaluating
+it, one update of the histogram with the whole batch, one ``decide`` for all
+its features and, when a feature fires, one ``apply_adapt`` that refits the
+weight rows of the features that move and the histogram, so layers adapt to
+the data they are about to see.
 
 The trainable arrays of all layers (coef, and w_s, w_b under the base term)
 are views into one flat buffer, so :meth:`AdaptKanNet.parameters` is a
@@ -100,7 +101,7 @@ def _row_blocks(rows: int, width: int):
 class AdaptKanLayer:
     """One spline layer: n input features, m outputs.
 
-    ``coef`` has shape (n, m, P) with P = omega + k: coef[j][i] are the
+    ``coef`` has shape (n, m, P) with P = omega + 3: coef[j][i] are the
     spline weights of activation (i, j).  ``w_s``/``w_b`` (n, m) scale the
     spline and SiLU base terms and are only active when ``use_base`` is set.
     ``hist`` holds the grid domains and histograms of the n input features.
@@ -127,7 +128,7 @@ class AdaptKanLayer:
         self.use_base = use_base
         if hist.a.shape != (n,):
             raise ValueError(f"layer {n}->{m}: histogram of shape {hist.a.shape} for {n} features")
-        P = hist.omega + hist.k
+        P = hist.omega + 3
         for name, arr, shape in (("coef", self.coef, (n, m, P)),
                                  ("w_s", self.w_s, (n, m)), ("w_b", self.w_b, (n, m))):
             if arr.shape != shape:
@@ -136,11 +137,6 @@ class AdaptKanLayer:
     @property
     def omega(self) -> int:
         return self.hist.omega
-
-    @property
-    def domains(self) -> list:
-        """Grid domain of each input feature (built from ``hist``)."""
-        return self.hist.domains
 
     def trainable(self) -> tuple:
         """Names of the arrays the optimiser updates, in buffer order."""
@@ -284,12 +280,11 @@ class AdaptKanNet:
         if not np.isfinite(Z).all():
             raise NonFiniteError(li, "inputs")
         layer.hist.update(Z)
-        for j, decision in decide(layer.hist, self.cfg).items():
-            if decision.kind != "none":
-                hist = layer.hist[j]
-                _, layer.coef[j], layer.hist[j] = apply_adapt(
-                    hist.dom, layer.coef[j], hist, decision, self.cfg)
-                self.adapt_events += 1
+        decisions = decide(layer.hist, self.cfg)
+        if any(d.kind != "none" for d in decisions.values()):
+            layer.coef[...], layer.hist, events = apply_adapt(layer.hist, layer.coef,
+                                                              decisions, self.cfg)
+            self.adapt_events += events
 
     def manual_adapt_all(self, X: np.ndarray) -> None:
         """Snap every domain to the min/max of this batch (naive baseline)."""
@@ -309,8 +304,8 @@ class AdaptKanNet:
         """
         worst = 0.0
         for layer in self.layers:
-            new_coef = np.empty((layer.n, layer.m, new_omega + layer.hist.k))
-            for j, dom in enumerate(layer.domains):
+            new_coef = np.empty((layer.n, layer.m, new_omega + 3))
+            for j, dom in enumerate(layer.hist.domains):
                 new_coef[j], _, info = refine_grid(layer.coef[j], dom, new_omega)
                 worst = max(worst, info.max_err)
             layer.coef = new_coef
@@ -472,7 +467,7 @@ class AdaptKanNet:
 
 
 def init_network(shape, mode: str = "kan", noise: float = 0.5, seed: int = 0,
-                 omega: int = 3, k: int = 3, domain=(-1.0, 1.0),
+                 omega: int = 3, domain=(-1.0, 1.0),
                  cfg: AdaptConfig | None = None, slope: float | None = None) -> AdaptKanNet:
     """Build a network with fresh domains ([-1, 1] per feature by default).
 
@@ -489,10 +484,10 @@ def init_network(shape, mode: str = "kan", noise: float = 0.5, seed: int = 0,
     cfg = cfg if cfg is not None else AdaptConfig()
     rng = np.random.default_rng(seed)
     layers = []
-    dom = GridDomain(domain[0], domain[1], omega, k)
+    dom = GridDomain(domain[0], domain[1], omega)
     for n, m in zip(shape[:-1], shape[1:]):
-        hist = FeatureHistogram.stack([FeatureHistogram(dom, cfg.alpha)] * n)
-        P = omega + k
+        hist = FeatureHistogram(np.full(n, dom.a), np.full(n, dom.b), omega, cfg.alpha)
+        P = omega + 3
         if mode == "kan":
             coef = noise * rng.standard_normal((n, m, P))
             w_s = np.ones((n, m))

@@ -17,7 +17,7 @@ from adaptkan.clf import (
     make_sontag_controller,
     simulate,
 )
-from adaptkan.histogram import FeatureHistogram, create_histogram
+from adaptkan.histogram import FeatureHistogram
 from adaptkan.model_io import load_model, save_model
 from adaptkan.network import init_network
 from adaptkan.ood import OodScorer, auroc
@@ -109,26 +109,30 @@ def test_criterion_02_gradient_suite():
     _report(2, "gradient suite", ok, f"(worst rel err {worst:.2e}, {elapsed:.1f}s)")
 
 
+def _one_feature(alpha, hist=None):
+    """Histogram of one feature on [0, 1] with 4 bins, empty tallies."""
+    return FeatureHistogram([0.0], [1.0], 4, alpha, None if hist is None else [[0.0, *hist, 0.0]])
+
+
 def test_criterion_03_ema_exactness():
-    dom = GridDomain(0.0, 1.0, 4, 3)
     # alpha = 0.5 with integer counts: every EMA operation is exact in
     # binary floats, so the geometric identity holds bitwise
-    h = FeatureHistogram(dom, alpha=0.5, hist=[8.0, 0.0, 4.0, 2.0])
-    batch = np.array([0.1, 0.3, 0.6, 0.9])
-    target = create_histogram(batch, dom)
-    diff0 = h.hist - target
+    h = _one_feature(0.5, [8.0, 0.0, 4.0, 2.0])
+    batch = np.array([[0.1], [0.3], [0.6], [0.9]])
+    target = h.batch_counts(batch)[0]
+    diff0 = h.counts - target
     exact = True
     for t in range(1, 51):
         h.update(batch)
-        exact = exact and np.array_equal(h.hist - target, 0.5**t * diff0)
+        exact = exact and np.array_equal(h.counts - target, 0.5**t * diff0)
     # generic alpha: closed form reproduced within 1e-12 relative
     alpha = 1e-3
-    h2 = FeatureHistogram(dom, alpha=alpha, hist=[5.0, 1.0, 0.0, 2.0])
-    diff0 = np.linalg.norm(h2.hist - target)
+    h2 = _one_feature(alpha, [5.0, 1.0, 0.0, 2.0])
+    diff0 = np.linalg.norm(h2.counts - target)
     rel = 0.0
     for t in range(1, 51):
         h2.update(batch)
-        got = np.linalg.norm(h2.hist - target)
+        got = np.linalg.norm(h2.counts - target)
         expected = (1 - alpha) ** t * diff0
         rel = max(rel, abs(got - expected) / expected)
     ok = exact and rel <= 1e-12
@@ -136,23 +140,22 @@ def test_criterion_03_ema_exactness():
 
 
 def test_criterion_04_shrink_timing():
-    dom = GridDomain(0.0, 1.0, 4, 3)
-    clean = np.array([0.1, 0.3, 0.6])
+    clean = np.array([[0.1], [0.3], [0.6]])
     ok = True
     detail = []
     for alpha, p in [(1e-3, 10), (0.5, 2)]:
         cfg = AdaptConfig(alpha=alpha, prune_patience=p)
-        h = FeatureHistogram(dom, alpha)
-        h.update(np.append(clean, 0.9))  # the single outlier, bin 3
-        early = decide(h, cfg).kind != "none"
+        h = _one_feature(alpha)
+        h.update(np.vstack([clean, [[0.9]]]))  # the single outlier, bin 3
+        early = any(d.kind != "none" for d in decide(h, cfg).values())
         fired_at = None
         for step in range(1, p + 1):
             h.update(clean)
-            d = decide(h, cfg)
-            if d.kind == "shrink":
+            d = decide(h, cfg).get(0)
+            if d is not None and d.kind == "shrink":
                 fired_at = step
                 break
-        bit_match = h.hist[3] == shrink_threshold(cfg)
+        bit_match = h.hist[0, 3] == shrink_threshold(cfg)
         ok = ok and not early and fired_at == p and bit_match
         detail.append(f"alpha={alpha} p={p} fired_at={fired_at} bitwise={bit_match}")
     _report(4, "shrink-threshold timing", ok, f"({'; '.join(detail)})")

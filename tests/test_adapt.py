@@ -19,15 +19,26 @@ from adaptkan.adapt import (
 )
 from adaptkan.histogram import FeatureHistogram
 from adaptkan.network import init_network
-from adaptkan.spline import GridDomain, eval_activation, greville_abscissae
+from adaptkan.spline import GridDomain, eval_activation
 from adaptkan.tasks import PoisonPlan, poison_hook
 
 DOM4 = GridDomain(0.0, 1.0, 4, 3)
 
 
-def make_hist(dom, hist, ood=(0.0, 0.0), ood_a=None, ood_b=None, alpha=0.5):
-    return FeatureHistogram(dom, alpha, hist=hist, ood_hist=ood,
-                            ood_a=ood_a, ood_b=ood_b)
+def make_hist(dom, hist=None, ood=(0.0, 0.0), ood_a=None, ood_b=None, alpha=0.5):
+    """One-feature layer histogram on dom with the given counts and extremes."""
+    counts = None if hist is None else [[ood[0], *hist, ood[1]]]
+    return FeatureHistogram([dom.a], [dom.b], dom.omega, alpha, counts,
+                            [[dom.a if ood_a is None else ood_a, dom.b if ood_b is None else ood_b]])
+
+
+def decide1(h, cfg):
+    """Decision for the one feature of h."""
+    return decide(h, cfg).get(0, Decision("none"))
+
+
+def total(h):
+    return h.hist.sum(axis=-1) + h.ood_hist.sum(axis=-1)
 
 
 def test_shrink_threshold_values():
@@ -47,7 +58,7 @@ def test_decide_shrink_example():
     # tau = max(hist) * alpha = 0.1 via the relative rule
     cfg = AdaptConfig(alpha=0.02, shrink_rule="relative")
     h = make_hist(DOM4, [0.0, 5.0, 5.0, 0.0], alpha=0.02)
-    d = decide(h, cfg)
+    d = decide1(h, cfg)
     assert d.kind == "shrink"
     assert (d.a, d.b) == (0.25, 0.75)
 
@@ -55,7 +66,7 @@ def test_decide_shrink_example():
 def test_decide_stretch_overrides():
     cfg = AdaptConfig(alpha=0.5, stretch_mode="max")
     h = make_hist(DOM4, [1.0, 1.0, 1.0, 1.0], ood=(5.0, 0.0), ood_a=-2.0)
-    d = decide(h, cfg)
+    d = decide1(h, cfg)
     assert d.kind == "stretch"
     assert (d.a, d.b) == (-2.0, 1.0)
 
@@ -63,13 +74,13 @@ def test_decide_stretch_overrides():
 def test_decide_none_when_ood_below_max():
     cfg = AdaptConfig(alpha=0.5, stretch_mode="max")
     h = make_hist(DOM4, [1.0, 1.0, 1.0, 1.0], ood=(0.4, 0.0), ood_a=-2.0)
-    assert decide(h, cfg).kind == "none"
+    assert decide1(h, cfg).kind == "none"
 
 
 def test_decide_collapse_returns_none_with_note():
     cfg = AdaptConfig(alpha=0.5)
     h = make_hist(DOM4, [0.0, 0.0, 0.0, 0.0])
-    d = decide(h, cfg)
+    d = decide1(h, cfg)
     assert d.kind == "none"
     assert "collapse" in d.note
 
@@ -90,7 +101,7 @@ def test_decide_is_pure():
 def test_stretch_modes(mode, hist, ood, expect):
     cfg = AdaptConfig(alpha=0.5, stretch_mode=mode)
     h = make_hist(DOM4, hist, ood=ood, ood_a=-1.0, ood_b=2.0)
-    assert decide(h, cfg).kind == expect
+    assert decide1(h, cfg).kind == expect
 
 
 def test_tau_timing_semantics():
@@ -98,23 +109,47 @@ def test_tau_timing_semantics():
     # to (1-alpha)^p * alpha and the shrink must fire at step p, not before
     for alpha, p in [(1e-3, 10), (0.5, 2)]:
         cfg = AdaptConfig(alpha=alpha, prune_patience=p)
-        h = FeatureHistogram(DOM4, alpha)
-        clean = np.array([0.1, 0.3, 0.6])      # covers bins 0..2
-        h.update(np.append(clean, 0.9))        # outlier lands in bin 3
-        assert decide(h, cfg).kind == "none"
+        h = make_hist(DOM4, alpha=alpha)
+        clean = np.array([[0.1], [0.3], [0.6]])  # covers bins 0..2
+        h.update(np.vstack([clean, [[0.9]]]))    # outlier lands in bin 3
+        assert decide1(h, cfg).kind == "none"
         for step in range(1, p + 1):
             h.update(clean)
-            d = decide(h, cfg)
+            d = decide1(h, cfg)
             if step < p:
                 assert d.kind == "none", f"fired early at step {step}"
             else:
                 assert d.kind == "shrink"
                 assert (d.a, d.b) == (0.0, 0.75)
-        assert h.hist[3] == shrink_threshold(cfg)  # bit-for-bit decay match
+        assert h.hist[0, 3] == shrink_threshold(cfg)  # bit-for-bit decay match
+
+
+def test_shrink_threshold_uses_each_features_alpha():
+    # an outlier bin decays at its feature's own alpha, so the rule "the
+    # shrink fires after exactly p clean batches" must hold for a feature
+    # whose alpha differs from cfg.alpha; a threshold built from cfg.alpha
+    # leaves every bin of this feature below it for the first 7 batches
+    cfg = AdaptConfig(alpha=0.1, prune_patience=2)
+    h = make_hist(DOM4, alpha=0.01)
+    clean = np.array([[0.1], [0.3], [0.6]])
+    h.update(np.vstack([clean, [[0.9]]]))
+    assert decide(h, cfg) == {}
+    h.update(clean)
+    assert decide(h, cfg) == {}
+    h.update(clean)
+    assert decide(h, cfg) == {0: Decision("shrink", 0.0, 0.75)}
+    assert h.hist[0, 3] == shrink_threshold(cfg, alpha=h.alpha)[0]
+    # the relative rule scales each feature's largest bin by its own alpha
+    np.testing.assert_array_equal(
+        shrink_threshold(AdaptConfig(alpha=0.1, shrink_rule="relative"),
+                         np.array([[40.0, 7.0], [10.0, 1.0]]), np.array([0.01, 0.5])),
+        [0.4, 5.0])
+    cfg = AdaptConfig(alpha=0.1, shrink_rule="relative")
+    assert decide(make_hist(DOM4, [0.5, 5.0, 5.0, 0.5], alpha=0.01), cfg) == {}
 
 
 def make_state(rng, dom=DOM4, m=3):
-    coef = rng.standard_normal((m, dom.n_coef))
+    coef = rng.standard_normal((1, m, dom.n_coef))
     hist = make_hist(dom, rng.uniform(1, 5, size=dom.omega))
     return dom, coef, hist
 
@@ -122,33 +157,34 @@ def make_state(rng, dom=DOM4, m=3):
 def test_apply_none_is_identity():
     rng = np.random.default_rng(0)
     dom, coef, hist = make_state(rng)
-    from adaptkan.adapt import Decision
-    dom2, coef2, hist2 = apply_adapt(dom, coef, hist, Decision("none"), AdaptConfig())
-    assert dom2 is dom and coef2 is coef and hist2 is hist
+    coef2, hist2, events = apply_adapt(hist, coef, {0: Decision("none", note="x")},
+                                       AdaptConfig())
+    assert coef2 is coef and hist2 is hist and events == 0
 
 
 def test_apply_stretch_keeps_constant_function():
     cfg = AdaptConfig(alpha=0.5)
     dom = DOM4
-    coef = np.full((2, dom.n_coef), 3.0)
+    coef = np.full((1, 2, dom.n_coef), 3.0)
     hist = make_hist(dom, [1.0, 1.0, 1.0, 1.0], ood=(5.0, 0.0), ood_a=-2.0)
-    from adaptkan.adapt import Decision
-    dom2, coef2, hist2 = apply_adapt(dom, coef, hist, Decision("stretch", -2.0, 1.0), cfg)
+    coef2, hist2, events = apply_adapt(hist, coef, {0: Decision("stretch", -2.0, 1.0)}, cfg)
+    dom2 = hist2.domains[0]
+    assert events == 1
     z = np.linspace(-2.0, 1.0, 300)
-    for row in coef2:
+    for row in coef2[0]:
         np.testing.assert_allclose(eval_activation(z, row, dom2), 3.0, atol=1e-10)
     # extremes reset after a stretch
-    assert hist2.ood_a == dom2.a and hist2.ood_b == dom2.b
+    assert tuple(hist2.extremes[0]) == (dom2.a, dom2.b)
 
 
 def test_apply_shrink_matches_on_overlap():
     rng = np.random.default_rng(1)
     cfg = AdaptConfig(alpha=0.5, refit_mode="exact_lsq")
     dom, coef, hist = make_state(rng)
-    from adaptkan.adapt import Decision
-    dom2, coef2, hist2 = apply_adapt(dom, coef, hist, Decision("shrink", 0.25, 0.75), cfg)
+    coef2, hist2, _ = apply_adapt(hist, coef, {0: Decision("shrink", 0.25, 0.75)}, cfg)
+    dom2 = hist2.domains[0]
     z = np.linspace(0.25, 0.75, 400)
-    for old, new in zip(coef, coef2):
+    for old, new in zip(coef[0], coef2[0]):
         err = np.abs(eval_activation(z, new, dom2) - eval_activation(z, old, dom)).max()
         assert err <= 1e-6
 
@@ -157,36 +193,35 @@ def test_apply_preserves_shapes():
     rng = np.random.default_rng(2)
     cfg = AdaptConfig(alpha=0.5, refit_mode="greville")
     dom, coef, hist = make_state(rng)
-    from adaptkan.adapt import Decision
-    dom2, coef2, hist2 = apply_adapt(dom, coef, hist, Decision("stretch", -1.0, 2.0), cfg)
-    assert dom2.omega == dom.omega
+    coef2, hist2, _ = apply_adapt(hist, coef, {0: Decision("stretch", -1.0, 2.0)}, cfg)
+    assert hist2.omega == dom.omega
     assert coef2.shape == coef.shape
-    assert len(hist2.hist) == len(hist.hist)
-    assert hist2.total() == pytest.approx(hist.total(), rel=1e-9)
+    assert hist2.hist.shape == hist.hist.shape
+    assert total(hist2) == pytest.approx(total(hist), rel=1e-9)
 
 
 def test_manual_adapt_examples():
     rng = np.random.default_rng(3)
     cfg = AdaptConfig(alpha=0.5)
     dom, coef, hist = make_state(rng)
-    _, hist2 = manual_adapt(hist, coef, [0.0, 0.4, 1.0], cfg)
-    dom2 = hist2.dom
+    _, hist2 = manual_adapt(hist, coef, [[0.0], [0.4], [1.0]], cfg)
+    dom2 = hist2.domains[0]
     assert (dom2.a, dom2.b) == (0.0, 1.0)
-    np.testing.assert_array_equal(hist2.hist, [1.0, 1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(hist2.hist, [[1.0, 1.0, 0.0, 1.0]])
 
-    dom3 = manual_adapt(hist, coef, [2.0, 2.0, 2.0], cfg)[1].dom
+    dom3 = manual_adapt(hist, coef, [[2.0], [2.0], [2.0]], cfg)[1].domains[0]
     assert dom3.a == pytest.approx(2.0 - 1e-6)
     assert dom3.b == pytest.approx(2.0 + 1e-6)
 
 
 def test_manual_adapt_preserves_constant_spline():
     cfg = AdaptConfig(alpha=0.5)
-    coef = np.full((1, DOM4.n_coef), -0.7)
+    coef = np.full((1, 1, DOM4.n_coef), -0.7)
     hist = make_hist(DOM4, [1.0] * 4)
-    coef2, hist2 = manual_adapt(hist, coef, [-0.3, 0.9], cfg)
-    dom2 = hist2.dom
+    coef2, hist2 = manual_adapt(hist, coef, [[-0.3], [0.9]], cfg)
+    dom2 = hist2.domains[0]
     z = np.linspace(dom2.a, dom2.b, 200)
-    np.testing.assert_allclose(eval_activation(z, coef2[0], dom2), -0.7, atol=1e-10)
+    np.testing.assert_allclose(eval_activation(z, coef2[0, 0], dom2), -0.7, atol=1e-10)
 
 
 def test_decide_shrink_bounds_lie_on_bin_edges():
@@ -196,7 +231,7 @@ def test_decide_shrink_bounds_lie_on_bin_edges():
         omega = int(rng.integers(2, 12))
         dom = GridDomain(-1.0, 1.0, omega, 3)
         h = make_hist(dom, rng.uniform(0, 0.01, size=omega) ** 2, alpha=0.05)
-        d = decide(h, cfg)
+        d = decide1(h, cfg)
         if d.kind == "shrink":
             edges = dom.edges()
             assert any(np.isclose(d.a, e) for e in edges)
@@ -230,11 +265,25 @@ def _poisoned_stream(rng, steps=60, B=32):
         yield hook(t, rng.uniform(-1.0, 1.0, (B, 3)), None)[0]
 
 
+def _one_feature_net(net, j):
+    """A [1, m] network holding feature j of net's first layer: its
+    histogram and its weight rows, copied."""
+    layer = net.layers[0]
+    h = layer.hist
+    single = init_network([1, layer.m], mode="kan", omega=h.omega, cfg=net.cfg)
+    s = single.layers[0]
+    s.hist = FeatureHistogram(h.a[j:j + 1], h.b[j:j + 1], h.omega, h.alpha[j:j + 1],
+                              h.counts[j:j + 1], h.extremes[j:j + 1])
+    for name in s.trainable():
+        getattr(s, name)[...] = getattr(layer, name)[j:j + 1]
+    return single
+
+
 @pytest.mark.parametrize("stream", [_drifting_stream, _poisoned_stream])
 def test_layer_arrays_match_one_feature_histograms(stream, monkeypatch):
-    # the layer's arrays against the n = 1 API, bitwise, after every step:
-    # a 3-feature layer adapting inside forward(record=True), and three
-    # one-feature histograms driven through update / decide / apply_adapt
+    # an n-feature layer against n one-feature layers, bitwise, after every
+    # step: a 3-feature layer and three [1, 2] networks, each holding one of
+    # its features, all adapting inside forward(record=True)
     seen = []
 
     def spy(h, cfg):
@@ -249,23 +298,24 @@ def test_layer_arrays_match_one_feature_histograms(stream, monkeypatch):
                           shrink_rule=shrink_rule, refit_mode=refit_mode)
         net = init_network([3, 2], mode="kan", noise=0.5, seed=3, omega=10, cfg=cfg)
         layer = net.layers[0]
-        layer.hist.alpha[:] = [0.5, 0.1, 0.01]  # one alpha below cfg.alpha: empty-looking bins
-        singles = [layer.hist[j] for j in range(3)]
-        coefs = [layer.coef[j].copy() for j in range(3)]
+        # alphas on both sides of cfg.alpha; under the relative rule alpha = 1
+        # puts tau at the largest bin, so a stale edge finds the domain would collapse
+        layer.hist.alpha[:] = [1.0, 0.1, 0.01]
+        singles = [_one_feature_net(net, j) for j in range(3)]
         for X in stream(np.random.default_rng(11)):
             seen.clear()
             net.forward(X, record=True)
-            (layer_decisions,) = seen
-            for j in range(3):
-                h = singles[j]
-                h.update(X[:, j])
-                d = decide(h, cfg)
+            for j, single in enumerate(singles):
+                single.forward(X[:, j:j + 1], record=True)
+            layer_decisions, *single_decisions = seen
+            for j, single in enumerate(singles):
+                d = single_decisions[j].get(0, Decision("none"))
                 assert layer_decisions.get(j, Decision("none")) == d
                 outcomes.add(d.note or d.kind)
-                _, coefs[j], singles[j] = apply_adapt(h.dom, coefs[j], h, d, cfg)
-                got = layer.hist[j]
+                got = single.layers[0]
                 for name in ("a", "b", "alpha", "counts", "extremes"):
-                    assert np.array_equal(getattr(got, name), getattr(singles[j], name)), name
-                assert np.array_equal(layer.coef[j], coefs[j])
+                    assert np.array_equal(getattr(layer.hist, name)[j],
+                                          getattr(got.hist, name)[0]), name
+                assert np.array_equal(layer.coef[j], got.coef[0])
     assert outcomes >= {"none", "shrink", "stretch",
                         "no bin above shrink threshold; domain would collapse"}

@@ -204,7 +204,7 @@ def test_lyapunov_value_and_grad_zero_net():
 def test_lyapunov_identity_net_squared_norm():
     # a 2 -> 2 identity network gives V = |x|^2 / 2 and grad = x
     net = init_network([2, 2], mode="linear", noise=0.0, slope=0.0, seed=0)
-    g = greville_abscissae(net.layers[0].domains[0])
+    g = greville_abscissae(net.layers[0].hist.domains[0])
     for j in range(2):
         net.layers[0].coef[j, j, :] = g
     X = np.array([[0.3, -0.5], [0.8, 0.1]])

@@ -378,8 +378,23 @@ def _feature_is_a_list(doc):
     return doc
 
 
+def _quadratic_features(doc):
+    # k = 2 everywhere with coef sized to match: only cubic windows exist
+    for layer in doc["layers"]:
+        for feat in layer["features"]:
+            feat["domain"]["k"] = 2
+        layer["coef"] = [[row[:-1] for row in rows] for rows in layer["coef"]]
+    return doc
+
+
+def _extreme_is_nan(doc):
+    doc["layers"][0]["features"][0]["hist"]["ood_a"] = float("nan")
+    return doc
+
+
 @pytest.mark.parametrize("corrupt", [_model_is_a_list, _adapt_is_a_list, _no_layers,
-                                     _layer_is_a_number, _feature_is_a_list])
+                                     _layer_is_a_number, _feature_is_a_list,
+                                     _quadratic_features, _extreme_is_nan])
 def test_eval_on_malformed_model_json_exits_2(tmp_path, capsys, corrupt):
     from adaptkan.tasks import save_dataset
     path, doc = _saved_model(tmp_path, [2, 3, 1])

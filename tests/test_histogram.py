@@ -1,200 +1,248 @@
-"""EMA histogram updates, refits, and marginal probabilities."""
+"""EMA histogram updates, refits, and marginal probabilities.
+
+Single features are n = 1 layers: ``one`` builds one from its bin and tally
+counts, and ``marginal_prob`` reads it through ``floored_prob``.
+"""
 
 import numpy as np
 import pytest
 
-from adaptkan.histogram import PROB_FLOOR, FeatureHistogram, create_histogram, histogram_bin
+from adaptkan.histogram import PROB_FLOOR, FeatureHistogram, floored_prob, histogram_bin
 from adaptkan.spline import GridDomain
 
-DOM2 = GridDomain(0.0, 1.0, 2, 3)
-DOM4 = GridDomain(0.0, 1.0, 4, 3)
+DOM2 = (0.0, 1.0, 2)
+DOM4 = (0.0, 1.0, 4)
+
+
+def one(dom, alpha, hist=None, ood=(0.0, 0.0), lo=None, hi=None):
+    """One-feature histogram on dom = (a, b, omega) with the given counts and extremes."""
+    a, b, omega = dom
+    counts = None if hist is None else [[ood[0], *hist, ood[1]]]
+    return FeatureHistogram([a], [b], omega, alpha, counts,
+                            [[a if lo is None else lo, b if hi is None else hi]])
+
+
+def bin_counts(samples, dom):
+    """Counts of in-domain samples per bin of dom, binned by histogram_bin."""
+    a, b, omega = dom
+    idx = histogram_bin(np.asarray(samples, dtype=float), a, b, omega)
+    return np.bincount(idx, minlength=omega).astype(float)
+
+
+def batch_counts(samples, dom):
+    """Raw counts [below a, bins..., above b] of a one-feature batch."""
+    return one(dom, 1.0).batch_counts(np.asarray(samples, dtype=float)[:, None])[0][0]
+
+
+def total(h):
+    """Total EMA count including the out-of-domain tallies, per feature."""
+    return h.hist.sum(axis=-1) + h.ood_hist.sum(axis=-1)
+
+
+def marginal_prob(h, x):
+    """Normalised bin value of a one-feature histogram at x."""
+    p = floored_prob(np.asarray(x, dtype=float)[..., None], h.hist, h.a, h.b)[..., 0]
+    return float(p) if p.ndim == 0 else p
 
 
 def test_create_histogram_examples():
-    np.testing.assert_array_equal(create_histogram([0.1, 0.1, 0.9], DOM2), [2, 1])
-    np.testing.assert_array_equal(create_histogram([], DOM2), [0, 0])
-    np.testing.assert_array_equal(create_histogram([1.0], DOM4), [0, 0, 0, 1])
+    np.testing.assert_array_equal(batch_counts([0.1, 0.1, 0.9], DOM2), [0, 2, 1, 0])
+    np.testing.assert_array_equal(batch_counts([], DOM2), [0, 0, 0, 0])
+    np.testing.assert_array_equal(batch_counts([1.0], DOM4), [0, 0, 0, 0, 1, 0])
+    np.testing.assert_array_equal(batch_counts([-0.1, 1.2, 1.5], DOM4), [1, 0, 0, 0, 0, 2])
+
+
+def test_constructor_validates_state():
+    FeatureHistogram([0.0, -1.0], [1.0, 1.0], 4, [0.5, 1.0])
+    for args in [([], [], 4, 0.5),                       # no feature
+                 ([0.0], [0.0], 4, 0.5),                 # a == b
+                 ([0.0], [np.inf], 4, 0.5),              # infinite bound
+                 ([0.0], [1.0, 2.0], 4, 0.5),            # bounds of two shapes
+                 ([0.0], [1.0], 0, 0.5),                 # no interval
+                 ([0.0], [1.0], 4, 0.0),                 # alpha out of (0, 1]
+                 ([0.0, 0.0], [1.0, 1.0], 4, [0.5, 1.5]),
+                 ([0.0], [1.0], 4, 0.5, np.zeros((1, 5))),  # counts not (n, omega + 2)
+                 ([0.0], [1.0], 4, 0.5, None, np.zeros((1, 3))),
+                 ([0.0], [1.0], 4, 0.5, [[0.0, 1.0, np.nan, 0.0, 0.0, 0.0]]),
+                 ([0.0], [1.0], 4, 0.5, None, [[np.nan, 1.0]])]:
+        with pytest.raises(ValueError):
+            FeatureHistogram(*args)
 
 
 def test_update_blends_counts():
-    h = FeatureHistogram(DOM2, alpha=0.5, hist=[4.0, 0.0])
-    h.update([0.1, 0.2])
-    np.testing.assert_array_equal(h.hist, [3.0, 0.0])
+    h = one(DOM2, alpha=0.5, hist=[4.0, 0.0])
+    h.update([[0.1], [0.2]])
+    np.testing.assert_array_equal(h.hist, [[3.0, 0.0]])
 
 
 def test_update_out_of_domain_bookkeeping():
-    h = FeatureHistogram(DOM4, alpha=0.5)
-    h.update([-0.5, 0.2, 1.5, 0.7])
-    np.testing.assert_array_equal(h.ood_hist, [0.5, 0.5])  # alpha * [1, 1]
-    assert h.ood_a == -0.5
-    assert h.ood_b == 1.5
+    h = one(DOM4, alpha=0.5)
+    h.update([[-0.5], [0.2], [1.5], [0.7]])
+    np.testing.assert_array_equal(h.ood_hist, [[0.5, 0.5]])  # alpha * [1, 1]
+    np.testing.assert_array_equal(h.extremes, [[-0.5, 1.5]])
     # extremes are running: a milder batch must not pull them back in
-    h.update([-0.1, 1.1])
-    assert h.ood_a == -0.5
-    assert h.ood_b == 1.5
+    h.update([[-0.1], [1.1]])
+    np.testing.assert_array_equal(h.extremes, [[-0.5, 1.5]])
 
 
 def test_update_alpha_one_has_no_memory():
-    h = FeatureHistogram(DOM4, alpha=1.0, hist=[9.0, 9.0, 9.0, 9.0])
+    h = one(DOM4, alpha=1.0, hist=[9.0, 9.0, 9.0, 9.0])
     batch = np.array([0.1, 0.3, 0.6, 0.9, 0.95])
-    h.update(batch)
-    np.testing.assert_array_equal(h.hist, create_histogram(batch, DOM4))
+    h.update(batch[:, None])
+    np.testing.assert_array_equal(h.hist[0], bin_counts(batch, DOM4))
 
 
 def test_update_rejects_non_finite():
-    h = FeatureHistogram(DOM4, alpha=0.5)
+    h = one(DOM4, alpha=0.5)
     with pytest.raises(ValueError):
-        h.update([0.1, np.nan])
+        h.update([[0.1], [np.nan]])
     with pytest.raises(ValueError):
-        h.update([np.inf])
+        h.update([[np.inf]])
 
 
 def test_geometric_convergence_identity():
     # repeated updates with one batch close the gap by exactly (1 - alpha)
     # per step; with alpha = 0.5 every operation is exact in binary floats
-    h = FeatureHistogram(DOM4, alpha=0.5, hist=[8.0, 0.0, 4.0, 0.0])
+    h = one(DOM4, alpha=0.5, hist=[8.0, 0.0, 4.0, 0.0])
     batch = np.array([0.1, 0.3, 0.6, 0.9])
-    target = create_histogram(batch, DOM4)
-    diff0 = h.hist - target
+    target = bin_counts(batch, DOM4)
+    diff0 = h.hist[0] - target
     for t in range(1, 51):
-        h.update(batch)
-        np.testing.assert_array_equal(h.hist - target, 0.5**t * diff0)
+        h.update(batch[:, None])
+        np.testing.assert_array_equal(h.hist[0] - target, 0.5**t * diff0)
 
 
 def test_geometric_convergence_small_alpha():
     alpha = 1e-3
-    h = FeatureHistogram(DOM4, alpha=alpha, hist=[5.0, 1.0, 0.0, 2.0])
+    h = one(DOM4, alpha=alpha, hist=[5.0, 1.0, 0.0, 2.0])
     batch = np.array([0.05, 0.3, 0.55, 0.8])
-    target = create_histogram(batch, DOM4)
-    diff0 = np.linalg.norm(h.hist - target)
+    target = bin_counts(batch, DOM4)
+    diff0 = np.linalg.norm(h.hist[0] - target)
     for t in range(1, 51):
-        h.update(batch)
+        h.update(batch[:, None])
     expected = (1 - alpha) ** 50 * diff0
-    assert np.linalg.norm(h.hist - target) == pytest.approx(expected, rel=1e-12)
+    assert np.linalg.norm(h.hist[0] - target) == pytest.approx(expected, rel=1e-12)
 
 
 def test_refit_identity_is_noop():
-    h = FeatureHistogram(DOM4, alpha=0.1, hist=[1.0, 2.0, 3.0, 4.0], ood_hist=[0.5, 0.25])
-    h2 = h.refit(DOM4.a, DOM4.b, DOM4.omega)
+    h = one(DOM4, alpha=0.1, hist=[1.0, 2.0, 3.0, 4.0], ood=[0.5, 0.25])
+    h2 = h.refit(h.a, h.b, h.omega)
     np.testing.assert_allclose(h2.hist, h.hist, atol=1e-15)
     np.testing.assert_allclose(h2.ood_hist, h.ood_hist, atol=1e-15)
-    assert h2.total() == pytest.approx(h.total(), abs=1e-15)
+    assert total(h2) == pytest.approx(total(h), abs=1e-15)
 
 
 def test_refit_stretch_deposits_ood_mass():
-    h = FeatureHistogram(DOM4, alpha=0.1, hist=[1.0, 1.0, 1.0, 1.0],
-                         ood_hist=[5.0, 0.0], ood_a=-2.0)
-    h2 = h.refit(-2.0, 1.0, 4)
+    h = one(DOM4, alpha=0.1, hist=[1.0, 1.0, 1.0, 1.0], ood=[5.0, 0.0], lo=-2.0)
+    h2 = h.refit([-2.0], [1.0], 4)
     # pre-rescale: interpolating [1,1,1,1] at the new centers (-1.625,
     # -0.875, -0.125, 0.625) against old centers (0.125..0.875) leaves only
     # the last center inside, giving [0,0,0,1]; the tally of 5 lands in the
-    # bin holding ood_a = -2 (bin 0).  Rescaling 6 back to the old total 9
-    # multiplies by 1.5.
-    assert h2.ood_hist[0] == 0.0
-    np.testing.assert_allclose(h2.hist, [7.5, 0.0, 0.0, 1.5], atol=1e-12)
-    assert h2.total() == pytest.approx(h.total(), rel=1e-9)
+    # bin holding the extreme -2 (bin 0).  Rescaling 6 back to the old
+    # total 9 multiplies by 1.5.
+    assert h2.ood_hist[0, 0] == 0.0
+    np.testing.assert_allclose(h2.hist[0], [7.5, 0.0, 0.0, 1.5], atol=1e-12)
+    assert total(h2) == pytest.approx(total(h), rel=1e-9)
 
 
 def test_refit_shrink_moves_mass_to_ood():
-    h = FeatureHistogram(DOM4, alpha=0.1, hist=[0.0, 3.0, 3.0, 0.5])
-    h2 = h.refit(0.25, 0.75, 4)
-    assert h2.ood_hist[1] > 0.0  # the 0.5 in the last old bin went right
-    assert h2.total() == pytest.approx(h.total(), rel=1e-9)
+    h = one(DOM4, alpha=0.1, hist=[0.0, 3.0, 3.0, 0.5])
+    h2 = h.refit([0.25], [0.75], 4)
+    assert h2.ood_hist[0, 1] > 0.0  # the 0.5 in the last old bin went right
+    assert total(h2) == pytest.approx(total(h), rel=1e-9)
 
 
 def test_refit_conserves_total_mass():
     rng = np.random.default_rng(0)
     for _ in range(30):
         omega = int(rng.integers(2, 20))
-        dom = GridDomain(-1.0, 1.0, omega, 3)
-        h = FeatureHistogram(dom, alpha=0.01,
-                             hist=rng.uniform(0, 10, size=omega),
-                             ood_hist=rng.uniform(0, 2, size=2),
-                             ood_a=-1.5, ood_b=2.0)
+        h = one((-1.0, 1.0, omega), alpha=0.01,
+                hist=rng.uniform(0, 10, size=omega),
+                ood=rng.uniform(0, 2, size=2),
+                lo=-1.5, hi=2.0)
         lo = rng.uniform(-2.0, -0.2)
         hi = rng.uniform(0.2, 2.5)
         new_bins = int(rng.integers(2, 30))
-        h2 = h.refit(lo, hi, new_bins)
-        assert h2.total() == pytest.approx(h.total(), rel=1e-9)
-        assert len(h2.hist) == new_bins
+        h2 = h.refit([lo], [hi], new_bins)
+        assert total(h2) == pytest.approx(total(h), rel=1e-9)
+        assert h2.hist.shape == (1, new_bins)
 
 
 def test_refit_to_more_bins():
-    h = FeatureHistogram(GridDomain(0, 1, 3, 3), alpha=0.1, hist=[3.0, 6.0, 3.0])
-    h2 = h.refit(0.0, 1.0, 12)
-    assert len(h2.hist) == 12
-    assert h2.total() == pytest.approx(h.total(), rel=1e-12)
+    h = one((0, 1, 3), alpha=0.1, hist=[3.0, 6.0, 3.0])
+    h2 = h.refit(h.a, h.b, 12)
+    assert h2.hist.shape == (1, 12)
+    assert total(h2) == pytest.approx(total(h), rel=1e-12)
 
 
 def test_marginal_prob_examples():
-    dom10 = GridDomain(0.0, 1.0, 10, 3)
-    h = FeatureHistogram(dom10, alpha=1.0, hist=np.full(10, 7.0))
-    assert h.marginal_prob(0.55) == pytest.approx(0.1, abs=1e-15)
-    assert h.marginal_prob(-0.1) == PROB_FLOOR
-    h2 = FeatureHistogram(DOM2, alpha=1.0, hist=[3.0, 1.0])
-    assert h2.marginal_prob(0.9) == pytest.approx(0.25, abs=1e-15)
+    h = one((0.0, 1.0, 10), alpha=1.0, hist=np.full(10, 7.0))
+    assert marginal_prob(h, 0.55) == pytest.approx(0.1, abs=1e-15)
+    assert marginal_prob(h, -0.1) == PROB_FLOOR
+    h2 = one(DOM2, alpha=1.0, hist=[3.0, 1.0])
+    assert marginal_prob(h2, 0.9) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_marginal_prob_sums_to_at_most_one():
     rng = np.random.default_rng(1)
-    dom = GridDomain(-2.0, 2.0, 25, 3)
-    h = FeatureHistogram(dom, alpha=1.0, hist=rng.uniform(0, 5, size=25))
-    reps = dom.centers()
-    total = sum(h.marginal_prob(x) for x in reps)
-    assert total <= 1.0 + 25 * PROB_FLOOR
+    h = one((-2.0, 2.0, 25), alpha=1.0, hist=rng.uniform(0, 5, size=25))
+    reps = GridDomain(-2.0, 2.0, 25).centers()
+    total_prob = sum(marginal_prob(h, x) for x in reps)
+    assert total_prob <= 1.0 + 25 * PROB_FLOOR
 
 
 def test_marginal_prob_empty_histogram_floors():
-    h = FeatureHistogram(DOM4, alpha=0.5)
-    assert h.marginal_prob(0.5) == PROB_FLOOR
+    h = one(DOM4, alpha=0.5)
+    assert marginal_prob(h, 0.5) == PROB_FLOOR
 
 
 def test_marginal_prob_reads_the_bin_a_count_landed_in():
     # (-1.36 + 2.5) * (50 / 3.8) rounds to just above 15, while
     # (-1.36 + 2.5) / 0.076 rounds to just below it: one bin rule for
     # counting and reading keeps the count where it is read
-    h = FeatureHistogram(GridDomain(-2.5, 1.3, 50), alpha=1.0)
-    h.update([-1.36])
-    assert h.marginal_prob(-1.36) == 1.0
+    h = one((-2.5, 1.3, 50), alpha=1.0)
+    h.update([[-1.36]])
+    assert marginal_prob(h, -1.36) == 1.0
 
 
 def test_marginal_prob_rejects_nan_and_floors_infinities():
-    h = FeatureHistogram(DOM4, alpha=1.0, hist=[1.0, 1.0, 1.0, 1.0])
-    np.testing.assert_array_equal(h.marginal_prob([-np.inf, np.inf]), PROB_FLOOR)
+    h = one(DOM4, alpha=1.0, hist=[1.0, 1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(marginal_prob(h, [-np.inf, np.inf]), PROB_FLOOR)
     with pytest.raises(ValueError):
-        h.marginal_prob(np.nan)
+        marginal_prob(h, np.nan)
 
 
 def test_create_histogram_counts_with_histogram_bin():
-    # FeatureHistogram.update inlines the rule; every knot of several grids,
-    # and one ulp either side of each, must land in the same bin every way
-    for dom in (DOM4, GridDomain(-2.5, 1.3, 50), GridDomain(0.1, 0.7, 7)):
-        edges = dom.edges()
+    # FeatureHistogram.batch_counts inlines the rule; every knot of several
+    # grids, and one ulp either side of each, must land in the same bin
+    # every way
+    for dom in (DOM4, (-2.5, 1.3, 50), (0.1, 0.7, 7)):
+        a, b, omega = dom
+        edges = GridDomain(*dom).edges()
         x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
-        inside = x[(x >= dom.a) & (x <= dom.b)]
-        expected = np.bincount(histogram_bin(inside, dom.a, dom.b, dom.omega),
-                               minlength=dom.omega)
-        np.testing.assert_array_equal(expected, create_histogram(inside, dom))
-        h = FeatureHistogram(dom, alpha=1.0)
-        h.update(x)
-        np.testing.assert_array_equal(h.hist, expected)
-        np.testing.assert_array_equal(h.ood_hist, [(x < dom.a).sum(), (x > dom.b).sum()])
+        inside = x[(x >= a) & (x <= b)]
+        expected = np.bincount(histogram_bin(inside, a, b, omega), minlength=omega)
+        np.testing.assert_array_equal(expected, batch_counts(inside, dom)[1:-1])
+        h = one(dom, alpha=1.0)
+        h.update(x[:, None])
+        np.testing.assert_array_equal(h.hist[0], expected)
+        np.testing.assert_array_equal(h.ood_hist[0], [(x < a).sum(), (x > b).sum()])
 
 
 def test_update_alpha_one_idempotent_with_create():
     rng = np.random.default_rng(2)
     batch = rng.uniform(-0.5, 1.5, size=64)
-    h = FeatureHistogram(DOM4, alpha=1.0)
-    h.update(batch)
+    h = one(DOM4, alpha=1.0)
+    h.update(batch[:, None])
     inside = batch[(batch >= 0.0) & (batch <= 1.0)]
-    np.testing.assert_array_equal(h.hist, create_histogram(inside, DOM4))
+    np.testing.assert_array_equal(h.hist[0], bin_counts(inside, DOM4))
 
 
 def test_invariants_after_updates():
     rng = np.random.default_rng(3)
-    h = FeatureHistogram(DOM4, alpha=0.05)
+    h = one(DOM4, alpha=0.05)
     for _ in range(40):
-        h.update(rng.normal(0.4, 0.8, size=32))
+        h.update(rng.normal(0.4, 0.8, size=(32, 1)))
     assert (h.hist >= 0).all() and (h.ood_hist >= 0).all()
-    assert h.ood_a <= h.dom.a
-    assert h.ood_b >= h.dom.b
+    assert (h.extremes[:, 0] <= h.a).all()
+    assert (h.extremes[:, 1] >= h.b).all()

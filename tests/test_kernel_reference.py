@@ -19,7 +19,7 @@ import pytest
 from adaptkan import network
 from adaptkan.histogram import FeatureHistogram
 from adaptkan.network import init_network, sparsity_penalty
-from adaptkan.spline import _WINDOW_MATS, M_CUBIC, GridDomain, basis
+from adaptkan.spline import _WINDOW_MATS, M_CUBIC, basis
 
 
 def close(new, ref):
@@ -46,8 +46,8 @@ def ref_silu(z, order=0):
 
 
 def ref_layer_eval(layer, Z):
-    a = np.array([dom.a for dom in layer.domains])
-    d = np.array([dom.d for dom in layer.domains])
+    a = np.array([dom.a for dom in layer.hist.domains])
+    d = np.array([dom.d for dom in layer.hist.domains])
     u = (Z - a) / d
     bins = np.clip(np.floor(u), 0.0, layer.omega - 1).astype(np.int64)
     t = np.clip(u - bins, 0.0, 1.0)
@@ -173,10 +173,11 @@ def make_net(shape, omega, mode="kan", seed=0):
     net = init_network(shape, mode=mode, noise=0.5, seed=seed, omega=omega)
     rng = np.random.default_rng(seed + 1)
     for layer in net.layers:
+        a, b = [], []
         for j in range(layer.n):
-            a = rng.uniform(-1.5, 0.0)
-            layer.hist[j] = FeatureHistogram(GridDomain(a, a + rng.uniform(0.5, 2.5), omega),
-                                            layer.hist.alpha[j])
+            a.append(rng.uniform(-1.5, 0.0))
+            b.append(a[-1] + rng.uniform(0.5, 2.5))
+        layer.hist = FeatureHistogram(a, b, omega, layer.hist.alpha)
         if layer.use_base:
             layer.w_s[...] = rng.uniform(0.5, 1.5, layer.w_s.shape)
             layer.w_b[...] = rng.uniform(-1.0, 1.0, layer.w_b.shape)

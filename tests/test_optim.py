@@ -152,7 +152,7 @@ def test_manual_mode_adapts_domains_to_batches():
     y = X[:, 0]
     plan = TrainPlan(rounds=[{"lr": 1e-3, "steps": 8, "omega": 3}], batch_size=64, seed=13)
     train(net, (X, y, X, y), plan, adapt_mode="manual", manual_every=1)
-    dom = net.layers[0].domains[0]
+    dom = net.layers[0].hist.domains[0]
     assert dom.a >= 2.9 and dom.b <= 5.1
 
 
