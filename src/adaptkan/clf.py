@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import AdaptKanNet
+from .network import AdaptKanNet, NonFiniteError
+from .optim import Adam, minibatches, require_count
 
 
 def dynamics_f(X) -> np.ndarray:
@@ -254,13 +255,18 @@ def _loss_terms_from_values(X, V, V0, LfV, LgV, cfg: ClfLossConfig):
     decrease, d_decrease = _hinge(-LfV)
     increase, d_increase = _hinge(LfV)
     small, d_small = _hinge(cfg.tau - np.abs(shifted))
-    origin = V0**2
+    try:
+        origin = V0**2
+    except OverflowError:  # the non-finite total fails the step below
+        origin = math.inf
     bowl = np.mean(below + above)
     loss_f = np.mean(mask * decrease + (1.0 - mask) * increase)
     loss_g = np.mean((1.0 - mask) * small)
     pos = np.mean(negative)
     total = (cfg.lam_origin * origin + cfg.lam_f * loss_f + cfg.lam_g * loss_g
              + cfg.lam_bowl * bowl + cfg.lam_pos * pos)
+    if not math.isfinite(total):
+        raise NonFiniteError(None, "CLF loss")
     dV0 = cfg.lam_origin * 2.0 * V0
     dV = cfg.lam_bowl / B * (-d_below + d_above) + cfg.lam_pos / B * -d_negative
     dLf = cfg.lam_f / B * (mask * -d_decrease + (1.0 - mask) * d_increase)
@@ -330,42 +336,34 @@ def train_clf(net: AdaptKanNet, X_train, cfg: ClfLossConfig, epochs: int,
               batch_hook=None, X_val=None, eval_every: int = 50):
     """Minimise the Lyapunov losses with Adam over shuffled minibatches.
 
-    Returns a history of dicts {epoch, loss, val_loss}; validation uses the
-    full loss on ``X_val`` when given.  ``batch_hook(epoch, X, None)`` may
-    replace batches, mirroring the regression trainer.
+    Returns a history of dicts {epoch, loss, val_loss, fail}; validation uses
+    the full loss on ``X_val`` when given.  Batches, ``batch_hook(epoch, X,
+    None)`` and the failure rule are the regression trainer's.
     """
-    from .optim import Adam
-
-    if adapt_mode not in ("auto", "manual", "none"):
-        raise ValueError(f"unknown adapt_mode {adapt_mode!r}")
-    if adapt_mode == "manual" and not manual_every:
-        raise ValueError("manual adaptation needs manual_every >= 1")
-    X_train = np.asarray(X_train, dtype=float)
-    rng = np.random.default_rng(seed)
-    N = len(X_train)
-    bs = min(batch_size, N)
+    require_count("epochs", epochs)
+    stream = minibatches(np.asarray(X_train, dtype=float), None, batch_size, seed,
+                         adapt_mode, manual_every, batch_hook)
     opt = Adam(lr=lr)
     history = []
-    for epoch in range(epochs):
-        order = rng.permutation(N)
-        first = True
+    for epoch, batches in zip(range(epochs), stream):
+        validate = X_val is not None and (epoch % eval_every == 0 or epoch == epochs - 1)
         epoch_loss = 0.0
-        nb = 0
-        for start in range(0, N - bs + 1, bs):
-            Xb = X_train[order[start:start + bs]]
-            if batch_hook is not None:
-                Xb, _ = batch_hook(epoch, Xb, None)
-            if adapt_mode == "manual" and first and epoch % manual_every == 0:
-                net.manual_adapt_all(Xb)
-            first = False
-            terms, grads = clf_loss_and_grads(net, Xb, cfg,
-                                              record=adapt_mode == "auto")
-            opt.step(net.parameters(), net.gradient_list(grads))
-            epoch_loss += terms["total"]
-            nb += 1
-        entry = {"epoch": epoch, "loss": epoch_loss / max(nb, 1)}
-        if X_val is not None and (epoch % eval_every == 0 or epoch == epochs - 1):
-            entry["val_loss"] = clf_losses(
-                X_val, make_network_clf(net, cfg.output_mode), cfg)["total"]
-        history.append(entry)
+        try:
+            for nb, (Xb, _, snap) in enumerate(batches, 1):
+                if snap:
+                    net.manual_adapt_all(Xb)
+                terms, grads = clf_loss_and_grads(net, Xb, cfg, record=adapt_mode == "auto")
+                opt.step(net.parameters(), net.gradient_list(grads))
+                epoch_loss += terms["total"]
+            loss = epoch_loss / nb
+            if validate:
+                val_loss = clf_losses(X_val, make_network_clf(net, cfg.output_mode), cfg)["total"]
+            fail = 0
+        except NonFiniteError:
+            loss = val_loss = math.nan
+            fail = 1
+        entry = {"epoch": epoch, "loss": loss}
+        if validate:
+            entry["val_loss"] = val_loss
+        history.append({**entry, "fail": fail})
     return history

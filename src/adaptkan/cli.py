@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -93,7 +94,6 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     task = get_task(_require(cfg, "task"))
     if cfg.get("train_n") or cfg.get("test_n"):
-        from dataclasses import replace
         task = replace(task, train_n=cfg.get("train_n", task.train_n),
                        test_n=cfg.get("test_n", task.test_n))
     shape = _require(cfg, "shape")
@@ -114,11 +114,7 @@ def cmd_train(args) -> int:
     history = train(net, (X_tr, y_tr, X_te, y_te), plan)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
-    plan_meta = {"rounds": [{"lr": r.lr, "steps": r.steps, "omega": r.omega}
-                            for r in plan.rounds],
-                 "optimizer": plan.optimizer, "weight_decay": plan.weight_decay,
-                 "poly_decay": plan.poly_decay, "batch_size": plan.batch_size,
-                 "sparsity_lambda": plan.sparsity_lambda}
+    plan_meta = {k: v for k, v in asdict(plan).items() if k != "seed"}
     save_model(net, f"{out}/model.json",
                meta={"task": task.name, "seed": seed, "plan": plan_meta})
     _write_csv(f"{out}/metrics.csv",
@@ -199,6 +195,9 @@ def cmd_clf_train(args) -> int:
                meta={"seed": seed, "output_mode": loss_cfg.output_mode})
     _write_csv(f"{out}/clf_metrics.csv", ["epoch", "loss", "val_loss"],
                [[h["epoch"], h["loss"], h.get("val_loss", "")] for h in history])
+    if any(h["fail"] for h in history):
+        print("training hit non-finite values; see clf_metrics.csv", file=sys.stderr)
+        return EXIT_NUMERICAL
     print(f"final training loss: {history[-1]['loss']:.6g}")
     return EXIT_OK
 

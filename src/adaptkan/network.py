@@ -53,10 +53,11 @@ from .spline import GridDomain, basis, dense_basis, greville_abscissae, refine_g
 
 
 class NonFiniteError(FloatingPointError):
-    """Raised when a layer produces or receives non-finite values."""
+    """Raised when a layer produces or receives non-finite values, or a loss
+    built on them is non-finite (``layer`` None)."""
 
-    def __init__(self, layer: int, where: str = "activations"):
-        super().__init__(f"non-finite {where} in layer {layer}")
+    def __init__(self, layer: int | None, where: str = "activations"):
+        super().__init__(f"non-finite {where}" + ("" if layer is None else f" in layer {layer}"))
         self.layer = layer
 
 
@@ -289,6 +290,8 @@ class AdaptKanNet:
     def manual_adapt_all(self, X: np.ndarray) -> None:
         """Snap every domain to the min/max of this batch (naive baseline)."""
         Z = np.asarray(X, dtype=float)
+        if not np.isfinite(Z).all():  # every later layer's inputs are checked outputs
+            raise NonFiniteError(0, "inputs")
         for li, layer in enumerate(self.layers):
             layer.coef[...], layer.hist = manual_adapt(layer.hist, layer.coef, Z, self.cfg)
             Z, _ = self._layer_eval(li, Z)
@@ -337,14 +340,22 @@ class AdaptKanNet:
             raise NonFiniteError(li)
         return Y, {"Z": Z, "cols": cols, "Cs": Cs, "sig": sig, "Wf": Wf}
 
+    def _inputs(self, X) -> np.ndarray:
+        """X as a float (B, n) array.  NaN is refused; ±inf passes, since the
+        splines are constant outside their domains (``clf simulate`` feeds it)."""
+        Z = np.asarray(X, dtype=float)
+        if Z.ndim != 2 or Z.shape[1] != self.layers[0].n:
+            raise ValueError(f"expected input of width {self.layers[0].n}, got shape {Z.shape}")
+        if np.isnan(Z).any():
+            raise NonFiniteError(0, "inputs")
+        return Z
+
     def forward(self, X, record: bool = False):
         """Run the stack; with ``record`` update histograms and adapt first.
 
         Returns (outputs, caches); pass the caches to :meth:`backward`.
         """
-        Z = np.asarray(X, dtype=float)
-        if Z.ndim != 2 or Z.shape[1] != self.layers[0].n:
-            raise ValueError(f"expected input of width {self.layers[0].n}, got shape {Z.shape}")
+        Z = self._inputs(X)
         caches = []
         for li in range(len(self.layers)):
             if record:
@@ -391,7 +402,7 @@ class AdaptKanNet:
         contracts like a value, with the derivative basis C1 scaled by the
         tangent in place of C.
         """
-        Z = np.asarray(X, dtype=float)
+        Z = self._inputs(X)
         Zdot = np.asarray(tangents, dtype=float)
         if Zdot.shape[:2] != Z.shape:
             raise ValueError(f"tangent shape {Zdot.shape} does not match input {Z.shape}")

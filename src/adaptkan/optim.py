@@ -1,20 +1,23 @@
-"""Adam/AdamW, polynomial learning-rate decay, and the round-based trainer.
+"""Adam/AdamW, polynomial learning-rate decay, the minibatch stream of both
+trainers, and the round-based trainer.
 
 Training proceeds in rounds; each round can first refine the grid to a
 larger interval count, then runs a fixed number of optimiser steps at its
 own (optionally decaying) learning rate.  Per-round train/test RMSE is
-recorded; a round whose forward pass goes non-finite is marked failed and
-skipped, mirroring how failed runs are accounted for rather than crashed on.
+recorded; a round (like a CLF epoch) that goes non-finite is marked failed
+with NaN metrics and training goes on, rather than crashing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import AdaptKanNet, NonFiniteError, sparsity_penalty
+from .tasks import rmse
 
 
 class Adam:
@@ -68,6 +71,12 @@ def lr_at(lr0: float, step: int, steps: int, poly_decay: bool = True) -> float:
     return lr0 * (1.0 - 0.9 * frac * frac)
 
 
+def require_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 1."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass
 class Round:
     lr: float
@@ -75,8 +84,7 @@ class Round:
     omega: int
 
     def __post_init__(self):
-        if self.steps <= 0:
-            raise ValueError(f"need steps > 0, got {self.steps}")
+        require_count("steps", self.steps)
 
 
 @dataclass
@@ -103,9 +111,36 @@ class TrainPlan:
             raise ValueError(f"optimizer must be 'adam' or 'adamw', got {self.optimizer!r}")
 
 
-def _rmse(net: AdaptKanNet, X: np.ndarray, y: np.ndarray) -> float:
-    pred, _ = net.forward(X, record=False)
-    return float(np.sqrt(np.mean((pred - y) ** 2)))
+def minibatches(X, y, batch_size: int, seed: int, adapt_mode: str = "auto",
+                manual_every: int | None = None, batch_hook=None):
+    """Endless epochs of shuffled minibatches, the stream both trainers draw.
+
+    Each epoch is a generator over a fresh permutation of the N rows, cut
+    into N // min(batch_size, N) batches (the remainder is dropped) that
+    yield (X_b, y_b, snap); y_b is None when ``y`` is.  ``batch_hook(epoch,
+    X_b, y_b)`` may replace each batch.  ``snap`` marks the first batch of
+    every ``manual_every``-th epoch in "manual" mode.  The settings are
+    checked here, before any batch is drawn.
+    """
+    if adapt_mode not in ("auto", "manual", "none"):
+        raise ValueError(f"unknown adapt_mode {adapt_mode!r}")
+    if adapt_mode == "manual":
+        require_count("manual_every", manual_every)
+    require_count("batch_size", batch_size)
+    N = len(X)
+    bs = min(batch_size, N)
+    rng = np.random.default_rng(seed)
+
+    def epoch(e):
+        order = rng.permutation(N)
+        for start in range(0, N - bs + 1, bs):
+            idx = order[start:start + bs]
+            Xb, yb = X[idx], None if y is None else y[idx]
+            if batch_hook is not None:
+                Xb, yb = batch_hook(e, Xb, yb)
+            yield Xb, yb, start == 0 and adapt_mode == "manual" and e % manual_every == 0
+
+    return map(epoch, itertools.count())
 
 
 def train(net: AdaptKanNet, data, plan: TrainPlan, adapt_mode: str = "auto",
@@ -119,21 +154,11 @@ def train(net: AdaptKanNet, data, plan: TrainPlan, adapt_mode: str = "auto",
     Returns one history dict per round: round, omega, lr, train_rmse,
     test_rmse, adapt_events, fail.
     """
-    if adapt_mode not in ("auto", "manual", "none"):
-        raise ValueError(f"unknown adapt_mode {adapt_mode!r}")
-    if adapt_mode == "manual" and not manual_every:
-        raise ValueError("manual adaptation needs manual_every >= 1")
     X_tr, y_tr, X_te, y_te = (np.asarray(a, dtype=float) for a in data)
     y_tr = y_tr.reshape(len(X_tr), -1)
     y_te = y_te.reshape(len(X_te), -1)
-    rng = np.random.default_rng(plan.seed)
-    N = len(X_tr)
-    bs = min(plan.batch_size, N)
-
-    order = rng.permutation(N)
-    pos = 0
-    epoch = 0
-    fresh_epoch = True
+    batches = itertools.chain.from_iterable(minibatches(
+        X_tr, y_tr, plan.batch_size, plan.seed, adapt_mode, manual_every, batch_hook))
     history = []
 
     for ri, rd in enumerate(plan.rounds):
@@ -142,43 +167,27 @@ def train(net: AdaptKanNet, data, plan: TrainPlan, adapt_mode: str = "auto",
         opt = Adam(lr=rd.lr, weight_decay=plan.weight_decay,
                    decoupled=plan.optimizer == "adamw")
         events_before = net.adapt_events
-        fail = 0
-        for t in range(rd.steps):
-            if pos + bs > N:
-                order = rng.permutation(N)
-                pos = 0
-                epoch += 1
-                fresh_epoch = True
-            idx = order[pos:pos + bs]
-            pos += bs
-            Xb, yb = X_tr[idx], y_tr[idx]
-            if batch_hook is not None:
-                Xb, yb = batch_hook(epoch, Xb, yb)
-            try:
-                if adapt_mode == "manual" and fresh_epoch and epoch % manual_every == 0:
+        try:
+            for t, (Xb, yb, snap) in zip(range(rd.steps), batches):
+                if snap:
                     net.manual_adapt_all(Xb)
-                fresh_epoch = False
                 Y, caches = net.forward(Xb, record=adapt_mode == "auto")
                 grad_out = 2.0 * (Y - yb) / yb.size
                 _, extras = sparsity_penalty(net, caches, plan.sparsity_lambda)
                 grads, _ = net.backward(caches, grad_out, extras)
-            except NonFiniteError:
-                fail = 1
-                break
-            opt.step(net.parameters(), net.gradient_list(grads),
-                     lr=lr_at(rd.lr, t, rd.steps, plan.poly_decay))
-        try:
-            train_rmse = _rmse(net, X_tr, y_tr) if not fail else math.nan
-            test_rmse = _rmse(net, X_te, y_te) if not fail else math.nan
+                opt.step(net.parameters(), net.gradient_list(grads),
+                         lr=lr_at(rd.lr, t, rd.steps, plan.poly_decay))
+            rmses = [rmse(net.forward(X, record=False)[0], y)
+                     for X, y in ((X_tr, y_tr), (X_te, y_te))]
+            fail = 0
         except NonFiniteError:
-            fail = 1
-            train_rmse = test_rmse = math.nan
+            rmses, fail = [math.nan, math.nan], 1
         history.append({
             "round": ri,
             "omega": rd.omega,
             "lr": rd.lr,
-            "train_rmse": train_rmse,
-            "test_rmse": test_rmse,
+            "train_rmse": rmses[0],
+            "test_rmse": rmses[1],
             "adapt_events": net.adapt_events - events_before,
             "fail": fail,
         })

@@ -80,3 +80,26 @@ def test_training_spans_are_traced_once_per_layer():
     steps = 30
     assert calls["histogram.update"] == calls["adapt.decide"] == len(net.layers) * steps
     assert calls["optim.Adam.step"] == steps
+
+
+def test_clf_training_spans_are_traced_once_per_step():
+    # the CLF trainer draws from the same minibatch stream: one histogram
+    # update and decision per layer per step, one loss and one Adam step
+    from adaptkan import clf
+
+    X = np.random.default_rng(0).uniform(-3.0, 3.0, (100, 2))
+    net = adaptkan.init_network([2, 4, 2], mode="linear", noise=0.1, seed=0,
+                                domain=(-3.0, 3.0))
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        clf.train_clf(net, X, clf.ClfLossConfig(), epochs=3, lr=1e-2, batch_size=32, seed=0,
+                      X_val=X, eval_every=1)
+    finally:
+        t.uninstall()
+    calls = {name: n for name, (n, _) in tracer.self_times(t.spans).items()}
+    steps = 3 * (100 // 32)
+    assert calls["clf.train_clf"] == 1
+    assert calls["histogram.update"] == calls["adapt.decide"] == len(net.layers) * steps
+    assert calls["optim.Adam.step"] == calls["clf.clf_loss_and_grads"] == steps

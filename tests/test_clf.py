@@ -21,7 +21,8 @@ from adaptkan.clf import (
     sontag_control,
     train_clf,
 )
-from adaptkan.network import init_network
+from adaptkan.network import NonFiniteError, init_network
+from adaptkan.optim import TrainPlan, train
 from adaptkan.spline import greville_abscissae
 
 
@@ -280,3 +281,82 @@ def test_analytical_confidence_near_reported_values():
     rep = ConformalReport(final_distances(fin, ok))
     assert rep.confidence(0.5) > 0.97
     assert 0.1 < rep.confidence(0.25) < 0.5
+
+
+def _clf_net(seed=9):
+    return init_network([2, 4, 2], mode="linear", noise=0.1, seed=seed, domain=(-3.0, 3.0))
+
+
+def test_train_clf_manual_mode_adapts_domains_to_batches():
+    X = np.random.default_rng(13).uniform(3.0, 5.0, (128, 2))
+    net = _clf_net(13)
+    train_clf(net, X, ClfLossConfig(), epochs=2, lr=1e-3, batch_size=64, seed=13,
+              adapt_mode="manual", manual_every=1)
+    dom = net.layers[0].hist.domains[0]
+    assert dom.a >= 2.9 and dom.b <= 5.1
+    with pytest.raises(ValueError):
+        train_clf(net, X, ClfLossConfig(), epochs=1, adapt_mode="manual")
+
+
+def test_train_clf_batch_hook_sees_every_batch_with_its_epoch():
+    seen = []
+
+    def hook(epoch, X, y):
+        seen.append((epoch, len(X), y))
+        return X, y
+
+    X = np.random.default_rng(17).uniform(-3, 3, (100, 2))
+    history = train_clf(_clf_net(17), X, ClfLossConfig(), epochs=3, lr=1e-3, batch_size=32,
+                        seed=17, batch_hook=hook)
+    assert seen == [(e, 32, None) for e in range(3) for _ in range(3)]
+    assert [h["fail"] for h in history] == [0, 0, 0]
+
+
+def test_both_trainers_hand_the_hook_the_same_batches():
+    def recorder(seen):
+        def hook(epoch, X, y):
+            seen.append((epoch, X.copy()))
+            return X, y
+        return hook
+
+    X = np.random.default_rng(21).uniform(-1, 1, (100, 2))
+    regress, lyapunov = [], []
+    plan = TrainPlan(rounds=[{"lr": 1e-3, "steps": 4, "omega": 3},
+                             {"lr": 1e-3, "steps": 5, "omega": 3}], batch_size=32, seed=21)
+    train(init_network([2, 3, 1], seed=21), (X, X[:, 0], X, X[:, 0]), plan,
+          batch_hook=recorder(regress))
+    train_clf(_clf_net(21), X, ClfLossConfig(), epochs=3, lr=1e-3, batch_size=32, seed=21,
+              batch_hook=recorder(lyapunov))
+    assert [e for e, _ in regress] == [e for e, _ in lyapunov] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    for (_, a), (_, b) in zip(regress, lyapunov):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_train_clf_nan_epoch_is_flagged_not_raised():
+    # as in the regression trainer: the epoch fails with NaN losses, the
+    # next epoch draws a fresh permutation and trains
+    X = np.random.default_rng(19).uniform(-3, 3, (128, 2))
+    for mode in ("auto", "manual", "none"):
+        def hook(epoch, Xb, y):
+            return (Xb * np.nan if epoch == 0 else Xb), y
+
+        history = train_clf(_clf_net(19), X, ClfLossConfig(), epochs=2, lr=1e-3,
+                            batch_size=32, seed=19, adapt_mode=mode, batch_hook=hook,
+                            manual_every=1 if mode == "manual" else None,
+                            X_val=X, eval_every=1)
+        assert [h["fail"] for h in history] == [1, 0], mode
+        assert np.isnan(history[0]["loss"]) and np.isnan(history[0]["val_loss"])
+        assert np.isfinite(history[1]["loss"]) and np.isfinite(history[1]["val_loss"])
+
+
+def test_train_clf_overflowing_origin_term_fails_the_epoch():
+    # V0 ~ 1e200 squares past the float range: a failed epoch, not an OverflowError
+    net = init_network([2, 1], mode="linear", noise=0.0, slope=0.0, seed=0)
+    net.parameters()[0][:] = 1e200
+    X = np.random.default_rng(0).uniform(-1, 1, (64, 2))
+    cfg = ClfLossConfig(output_mode="direct")
+    with pytest.raises(NonFiniteError):
+        clf_losses(X, make_network_clf(net, "direct"), cfg)
+    history = train_clf(net, X, cfg, epochs=2, lr=1e-3, batch_size=32, adapt_mode="none")
+    assert [h["fail"] for h in history] == [1, 1]
+    assert all(np.isnan(h["loss"]) for h in history)

@@ -103,6 +103,15 @@ def test_eval_command(tmp_path, capsys):
     assert float(out) == pytest.approx(float(np.sqrt(np.mean((pred[:, 0] - y) ** 2))))
 
 
+def test_eval_on_nan_data_is_a_numerical_failure(tmp_path, capsys):
+    model, data = tmp_path / "m.json", tmp_path / "d.csv"
+    save_model(init_network([2, 3, 1], mode="kan", seed=2), model)
+    data.write_text("x0,x1,target\n0.1,0.2,0.3\nnan,0.2,0.3\n")
+    assert main(["eval", "--model", str(model), "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
 def write_features(path, X):
     from adaptkan.tasks import save_dataset  # reuse float formatting
     import csv
@@ -192,24 +201,38 @@ def test_clf_simulate_requires_provider(tmp_path):
                  "--out", str(tmp_path / "r.csv")]) == 2
 
 
+CLF_CFG = {
+    "shape": [2, 4, 1],
+    "epochs": 3,
+    "lr": 0.02,
+    "batch_size": 128,
+    "train_n": 256,
+    "test_n": 64,
+    "output_mode": "squared_norm",
+    "init": {"mode": "linear", "noise": 0.1, "domain": [-3.0, 3.0]},
+    "adapt": {"alpha": 0.01, "stretch_mode": "max"},
+    "seed": 0,
+}
+
+
 def test_clf_train_runs(tmp_path):
-    cfg = {
-        "shape": [2, 4, 1],
-        "epochs": 3,
-        "lr": 0.02,
-        "batch_size": 128,
-        "train_n": 256,
-        "test_n": 64,
-        "output_mode": "squared_norm",
-        "init": {"mode": "linear", "noise": 0.1, "domain": [-3.0, 3.0]},
-        "adapt": {"alpha": 0.01, "stretch_mode": "max"},
-        "seed": 0,
-    }
-    code = main(["clf", "train", "--config", write_cfg(tmp_path, cfg),
+    code = main(["clf", "train", "--config", write_cfg(tmp_path, CLF_CFG),
                  "--out-dir", str(tmp_path)])
     assert code == 0
     lines = (tmp_path / "clf_metrics.csv").read_text().splitlines()
     assert lines[0] == "epoch,loss,val_loss"
+    assert (tmp_path / "model.json").exists()
+
+
+def test_clf_train_failure_writes_metrics_and_exits_1(tmp_path, capsys):
+    # a huge step overflows the origin term V0^2 on the second step
+    cfg = {"shape": [2, 4], "epochs": 3, "train_n": 1000, "lr": 1e60}
+    code = main(["clf", "train", "--config", write_cfg(tmp_path, cfg),
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "clf_metrics.csv" in capsys.readouterr().err
+    lines = (tmp_path / "clf_metrics.csv").read_text().splitlines()
+    assert lines == ["epoch,loss,val_loss", "0,nan,nan", "1,nan,", "2,nan,nan"]
     assert (tmp_path / "model.json").exists()
 
 
@@ -344,6 +367,23 @@ def test_train_config_with_misspelled_key_exits_2(tmp_path, capsys, corrupt):
     assert main(["train", "--config", path, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("train", {**TRAIN_CFG, "batch_size": 0}),
+    ("train", {**TRAIN_CFG, "batch_size": -5}),
+    ("train", {**TRAIN_CFG, "batch_size": "x"}),
+    ("clf", {**CLF_CFG, "batch_size": "x"}),
+    ("clf", {**CLF_CFG, "epochs": "ten"}),
+    ("clf", {**CLF_CFG, "epochs": 0}),
+])
+def test_trainer_settings_must_be_counts(tmp_path, capsys, command, cfg):
+    argv = ["train"] if command == "train" else ["clf", "train"]
+    path = write_cfg(tmp_path, cfg)
+    assert main(argv + ["--config", path, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_config_with_list_init_exits_2(tmp_path, capsys):

@@ -51,13 +51,32 @@ def test_width_mismatch_raises():
     net = init_network([2, 3], seed=0)
     with pytest.raises(ValueError):
         net.forward(np.zeros((4, 5)))
+    with pytest.raises(ValueError):
+        net.forward_jvp(np.zeros((4, 5)), np.zeros((4, 5, 1)))
 
 
 def test_non_finite_error_carries_layer_index():
+    # NaN is refused at the entry of every pass, recording or not, and by the
+    # manual snap, which also refuses ±inf as the recording pass does
     net = init_network([2, 3, 1], seed=0)
-    with pytest.raises(NonFiniteError) as err:
-        net.forward(np.array([[np.nan, 0.0]]), record=True)
-    assert err.value.layer == 0
+    X = np.array([[np.nan, 0.0]])
+    for call in (lambda: net.forward(X, record=True), lambda: net.forward(X),
+                 lambda: net.forward_jvp(X, np.ones((1, 2, 1))),
+                 lambda: net.manual_adapt_all(X),
+                 lambda: net.manual_adapt_all(np.array([[np.inf, 0.0]]))):
+        with pytest.raises(NonFiniteError) as err:
+            call()
+        assert err.value.layer == 0 and "inputs" in str(err.value)
+
+
+def test_linear_network_maps_infinite_inputs_to_finite_values():
+    # splines are constant outside their domains; closed-loop simulation
+    # feeds ±inf stage states of diverging trajectories through the network
+    net = init_network([2, 3, 1], mode="linear", noise=0.1, seed=0)
+    X = np.array([[np.inf, 0.0], [-np.inf, 0.5], [0.2, 0.3]])
+    Y, caches = net.forward(X)
+    _, G = net.backward(caches, np.ones_like(Y))
+    assert np.isfinite(Y).all() and np.isfinite(G).all()
 
 
 def test_linear_init_slope_one_sums_inputs():

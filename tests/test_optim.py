@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adaptkan.network import init_network
-from adaptkan.optim import Adam, Round, TrainPlan, lr_at, train
+from adaptkan.optim import Adam, Round, TrainPlan, lr_at, minibatches, train
 
 
 def test_adam_first_step_magnitude():
@@ -53,8 +53,9 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         TrainPlan(rounds=[{"lr": 1e-2, "steps": 10, "omega": 5},
                           {"lr": 1e-2, "steps": 10, "omega": 3}])
-    with pytest.raises(ValueError):
-        TrainPlan(rounds=[{"lr": 1e-2, "steps": 0, "omega": 3}])
+    for steps in (0, "x", 2.5):
+        with pytest.raises(ValueError):
+            TrainPlan(rounds=[{"lr": 1e-2, "steps": steps, "omega": 3}])
     with pytest.raises(ValueError):
         TrainPlan(rounds=[{"lr": 1e-2, "steps": 10, "omega": 3}], optimizer="sgd")
 
@@ -170,12 +171,42 @@ def test_batch_hook_is_applied():
 
 
 def test_nan_round_is_flagged_not_raised():
-    net = init_network([2, 3, 1], seed=19)
+    # in every mode: the manual snap, the recording forward and the plain
+    # forward all refuse a NaN batch, and the next round still runs
+    for mode in ("auto", "manual", "none"):
+        seen = []
 
-    def hook(epoch, X, y):
-        return X * np.nan, y
+        def hook(epoch, X, y):
+            seen.append(epoch)
+            return (X * np.nan if len(seen) == 1 else X), y
 
-    plan = TrainPlan(rounds=[{"lr": 1e-3, "steps": 5, "omega": 3}], batch_size=32, seed=19)
-    hist = train(net, make_data(19), plan, batch_hook=hook)
-    assert hist[0]["fail"] == 1
-    assert np.isnan(hist[0]["test_rmse"])
+        net = init_network([2, 3, 1], seed=19)
+        plan = TrainPlan(rounds=[{"lr": 1e-3, "steps": 5, "omega": 3},
+                                 {"lr": 1e-3, "steps": 5, "omega": 3}], batch_size=32, seed=19)
+        hist = train(net, make_data(19), plan, adapt_mode=mode, batch_hook=hook,
+                     manual_every=1 if mode == "manual" else None)
+        assert [h["fail"] for h in hist] == [1, 0], mode
+        assert np.isnan(hist[0]["test_rmse"]) and np.isnan(hist[0]["train_rmse"])
+        assert np.isfinite(hist[1]["test_rmse"])
+
+
+def test_minibatches_checks_settings_before_the_first_batch():
+    X = np.zeros((10, 2))
+    for kwargs in ({"batch_size": 0}, {"batch_size": -5}, {"batch_size": "x"},
+                   {"batch_size": 4, "adapt_mode": "sometimes"},
+                   {"batch_size": 4, "adapt_mode": "manual"}):
+        with pytest.raises(ValueError):
+            minibatches(X, None, seed=0, **kwargs)
+
+
+def test_minibatches_epochs_drop_the_remainder_and_mark_snaps():
+    X = np.arange(10.0).reshape(10, 1)
+    stream = minibatches(X, X[:, 0] * 2, 4, seed=0, adapt_mode="manual", manual_every=2)
+    for e in range(4):
+        batches = list(next(stream))
+        assert len(batches) == 2
+        rows = np.concatenate([Xb[:, 0] for Xb, _, _ in batches])
+        assert len(set(rows)) == 8
+        for Xb, yb, _ in batches:
+            np.testing.assert_array_equal(yb, Xb[:, 0] * 2)
+        assert [snap for _, _, snap in batches] == [e % 2 == 0, False]
