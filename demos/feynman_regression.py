@@ -40,8 +40,9 @@ best = min(h["test_rmse"] for h in history)
 print(f"\nbest test RMSE over rounds: {best:.3e}")
 
 print("\nlearned layer-1 domains (initialised at [-1, 1]):")
-for j, dom in enumerate(net.layers[0].hist.domains):
-    print(f"  input {j}: [{dom.a:+.3f}, {dom.b:+.3f}] with {dom.omega} intervals")
+hist = net.layers[0].hist
+for j, (a, b) in enumerate(zip(hist.a, hist.b)):
+    print(f"  input {j}: [{a:+.3f}, {b:+.3f}] with {hist.omega} intervals")
 
 print("\nsame run via the CLI:")
 print("  adaptkan train --config demos/configs/feynman_ab.json --out-dir out/")

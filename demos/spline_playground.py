@@ -44,23 +44,29 @@ bins, (window,) = basis(np.array([[0.37]]), dom.a, dom.d, dom.omega)
 grad_w = dense_basis(window_columns(bins, dom.n_coef), window, np.empty((1, dom.n_coef)))[0]
 print("\nbasis window at 0.37:", np.round(grad_w, 4), "sum:", grad_w.sum())
 
-# Refitting moves a spline to a new domain. The exact route solves a dense
-# least-squares problem; the Greville route just re-interpolates weights.
-# Note the stretch keeps the interval count, so resolution drops and random
-# wiggly splines cannot be carried over exactly (lines and constants can).
+# Refitting moves a layer's splines to new domains. It takes the weight rows
+# (J, m, omega + 3) of J features with their old and new bounds as (J,)
+# arrays. The exact route solves a dense least-squares problem; the Greville
+# route just re-interpolates weights. Note the stretch keeps the interval
+# count, so resolution drops and random wiggly splines cannot be carried
+# over exactly (lines and constants can).
 w_rand = rng.standard_normal(dom.n_coef)
 wide = GridDomain(-2.0, 2.0, omega=5, k=3)
-w_exact, info = refit_least_squares(w_rand, dom, wide)
-w_fast = refit_greville(w_rand, dom, wide)
+rows = w_rand[None, None]  # one feature, one output
+bounds = ([dom.a], [dom.b], [wide.a], [wide.b], dom.omega, wide.omega)
+w_exact, max_err = refit_least_squares(rows, *bounds)
+w_exact = w_exact[0, 0]
+w_fast = refit_greville(rows, *bounds)[0, 0]
 probe = np.linspace(-0.9, 0.9, 5)
 print("\nrefit to [-2, 2]:")
 print("  original   ", np.round(eval_activation(probe, w_rand, dom), 4))
 print("  exact refit", np.round(eval_activation(probe, w_exact, wide), 4))
 print("  fast refit ", np.round(eval_activation(probe, w_fast, wide), 4))
-print("  exact-refit max residual on fit grid:", f"{info.max_err:.2e}")
+print("  exact-refit max residual on fit grid:", f"{max_err[0]:.2e}")
 
 # Refinement keeps the domain but adds resolution.
-w_fine, dom_fine, info = refine_grid(w_rand, dom, 40)
+w_fine = refine_grid(rows, [dom.a], [dom.b], dom.omega, 40)[0][0, 0]
+dom_fine = GridDomain(dom.a, dom.b, omega=40, k=3)
 err = np.abs(eval_activation(probe, w_fine, dom_fine)
              - eval_activation(probe, w_rand, dom)).max()
 print(f"\nrefined 5 -> 40 intervals; function change at probes: {err:.2e}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .histogram import FeatureHistogram
-from .spline import GridDomain, refit_greville, refit_least_squares
+from .spline import refit_greville, refit_least_squares
 
 STRETCH_MODES = ("max", "half_max", "mean", "edge")
 SHRINK_RULES = ("fixed", "relative")
@@ -155,32 +155,33 @@ def decide(h: FeatureHistogram, cfg: AdaptConfig) -> dict:
     return decisions
 
 
-def _refit_weights(coef, dom: GridDomain, new_dom: GridDomain, cfg: AdaptConfig):
-    """Weight rows of one feature re-expressed on new_dom by cfg.refit_mode."""
+def _refit_weights(coef, a, b, new_a, new_b, omega: int, cfg: AdaptConfig):
+    """Weight rows (J, m, P) of J features re-expressed on the domains
+    [new_a, new_b] (J,) by cfg.refit_mode, keeping omega intervals."""
     if cfg.refit_mode == "exact_lsq":
-        return refit_least_squares(coef, dom, new_dom)[0]
-    return refit_greville(coef, dom, new_dom)
+        return refit_least_squares(coef, a, b, new_a, new_b, omega, omega)[0]
+    return refit_greville(coef, a, b, new_a, new_b, omega, omega)
 
 
 def apply_adapt(hist: FeatureHistogram, coef: np.ndarray, decisions: dict, cfg: AdaptConfig):
     """Apply a layer's decisions to its histogram and weights (n, m, P).
 
-    The interval count stays fixed.  The weight rows of every feature that
-    shrinks or stretches are refit onto its new bounds, and the histogram is
-    transferred with one refit; after a stretch the feature's recorded
-    extremes are reset to its new bounds.  Returns (coef, hist, events),
-    events being the number of features whose domain moved; with none, the
-    given coef and hist come back as they are.
+    The interval count stays fixed.  The weight rows of the features that
+    shrink or stretch are refit onto their new bounds with one refit, and
+    the histogram is transferred with one refit; after a stretch the
+    feature's recorded extremes are reset to its new bounds.  Returns (coef,
+    hist, events), events being the number of features whose domain moved;
+    with none, the given coef and hist come back as they are.
     """
     moved = {j: d for j, d in decisions.items() if d.kind != "none"}
     if not moved:
         return coef, hist, 0
+    J = list(moved)
     a, b = hist.a.copy(), hist.b.copy()
+    a[J] = [d.a for d in moved.values()]
+    b[J] = [d.b for d in moved.values()]
     new_coef = coef.copy()
-    doms = hist.domains
-    for j, d in moved.items():
-        a[j], b[j] = d.a, d.b
-        new_coef[j] = _refit_weights(coef[j], doms[j], GridDomain(d.a, d.b, hist.omega), cfg)
+    new_coef[J] = _refit_weights(coef[J], hist.a[J], hist.b[J], a[J], b[J], hist.omega, cfg)
     new_hist = hist.refit(a, b, hist.omega)
     for j, d in moved.items():
         if d.kind == "stretch":
@@ -204,7 +205,5 @@ def manual_adapt(hist: FeatureHistogram, coef: np.ndarray, batch, cfg: AdaptConf
     new_hist = FeatureHistogram(np.where(flat, lo - 1e-6, lo), np.where(flat, hi + 1e-6, hi),
                                 hist.omega, hist.alpha)
     new_hist.counts[...] = new_hist.batch_counts(Z)[0]
-    # the weight refits run one feature at a time
-    new_coef = np.stack([_refit_weights(w, dom, new_dom, cfg) for w, dom, new_dom
-                         in zip(coef, hist.domains, new_hist.domains)])
+    new_coef = _refit_weights(coef, hist.a, hist.b, new_hist.a, new_hist.b, hist.omega, cfg)
     return new_coef, new_hist

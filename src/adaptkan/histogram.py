@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spline import GridDomain
-
 # Probability floor for empty bins; keeps log-scores finite without
 # reordering them.
 PROB_FLOOR = 1e-12
@@ -108,11 +106,6 @@ class FeatureHistogram:
         return (self.b - self.a) / self.omega
 
     @property
-    def domains(self) -> list:
-        """One cubic GridDomain per feature."""
-        return [GridDomain(a, b, self.omega) for a, b in zip(self.a.tolist(), self.b.tolist())]
-
-    @property
     def hist(self) -> np.ndarray:
         return self.counts[:, 1:-1]
 
@@ -186,7 +179,7 @@ class FeatureHistogram:
 
 
 def _centers(a, b, omega: int) -> np.ndarray:
-    """Bin centers of [a, b] split into omega bins, as GridDomain.centers."""
+    """Centers of the omega uniform bins of [a, b]."""
     return a + (np.arange(omega) + 0.5) * ((b - a) / omega)
 
 

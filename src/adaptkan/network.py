@@ -307,12 +307,10 @@ class AdaptKanNet:
         """
         worst = 0.0
         for layer in self.layers:
-            new_coef = np.empty((layer.n, layer.m, new_omega + 3))
-            for j, dom in enumerate(layer.hist.domains):
-                new_coef[j], _, info = refine_grid(layer.coef[j], dom, new_omega)
-                worst = max(worst, info.max_err)
-            layer.coef = new_coef
-            layer.hist = layer.hist.refit(layer.hist.a, layer.hist.b, new_omega)
+            hist = layer.hist
+            layer.coef, err = refine_grid(layer.coef, hist.a, hist.b, hist.omega, new_omega)
+            worst = max(worst, float(err.max()))
+            layer.hist = hist.refit(hist.a, hist.b, new_omega)
         self._pack()
         return worst
 

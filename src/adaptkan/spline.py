@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 # Coefficient matrix for uniform cubic segments, basis ordered so that row s
@@ -163,20 +161,25 @@ def dense_basis(cols: np.ndarray, C: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _design_matrix(z, dom: GridDomain, order: int = 0, clamp_theta: bool = True) -> np.ndarray:
-    """Dense (S, n_coef) basis of the order-th z derivative at samples z."""
-    basis_matrix(dom.k)  # raises for the degrees basis() does not cover
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    bins, Cs = basis(z[:, None], dom.a, dom.d, dom.omega, order, clamp_theta)
-    return dense_basis(window_columns(bins, dom.n_coef), Cs[order], np.empty((len(z), dom.n_coef)))
+def _design_matrix(z, a, d, omega: int, order: int = 0, clamp_theta: bool = True) -> np.ndarray:
+    """Dense (..., S, omega+3) basis of the order-th z derivative at samples
+    z (..., S) on domains starting at ``a`` with interval width ``d``, both
+    broadcast against z."""
+    z = np.asarray(z, dtype=float)
+    bins, Cs = basis(z, a, d, omega, order, clamp_theta)
+    P = omega + 3
+    D = dense_basis(window_columns(bins.reshape(-1, 1), P), Cs[order].reshape(-1, 1, 4),
+                    np.empty((z.size, P)))
+    return D.reshape(z.shape + (P,))
 
 
 def _contract(z, w_row, dom: GridDomain, order: int, clamp_theta: bool = True):
     """Order-th z derivative of the spline(s) with weights w_row (P,) or (m, P)."""
+    basis_matrix(dom.k)  # raises for the degrees basis() does not cover
     w_row = np.asarray(w_row, dtype=float)
     if w_row.shape[-1] != dom.n_coef:
         raise ValueError(f"expected {dom.n_coef} weights, got {w_row.shape[-1]}")
-    out = _design_matrix(z, dom, order, clamp_theta) @ w_row.T
+    out = _design_matrix(np.atleast_1d(z), dom.a, dom.d, dom.omega, order, clamp_theta) @ w_row.T
     if np.ndim(z) != 0:
         return out
     return float(out[0]) if out.ndim == 1 else out[0]
@@ -209,77 +212,77 @@ def greville_abscissae(dom: GridDomain) -> np.ndarray:
     return dom.a + (i - (dom.k - 1) / 2.0) * dom.d
 
 
-class RefitInfo(NamedTuple):
-    """Diagnostics from a least-squares refit."""
+def _greville(a, b, omega: int) -> np.ndarray:
+    """Cubic Greville abscissae (J, omega+3) of the domains [a, b] (J,), as
+    :func:`greville_abscissae` gives them for one domain."""
+    a, b = np.asarray(a, dtype=float)[:, None], np.asarray(b, dtype=float)[:, None]
+    return a + (np.arange(omega + 3) - 1.0) * ((b - a) / omega)
 
-    max_err: float
-    rank: int
-    rank_deficient: bool
 
-
-# Samples per grid interval when fitting a spline to another curve; at least
-# k+1 per interval keeps the normal equations well posed.
+# Samples per grid interval when fitting a spline to another curve.  With
+# S = 10 omega samples, at least 9 fall in every interval, so the design
+# matrix always has full column rank omega + 3.
 LSQ_SAMPLES_PER_INTERVAL = 10
 
 
 @functools.lru_cache(maxsize=16)
-def _lsq_factor(omega: int, k: int):
-    """(design matrix, pseudo-inverse, rank) of the refit problem, read-only.
+def _lsq_factor(omega: int):
+    """(design matrix, pseudo-inverse) of the refit problem, read-only.
 
     :func:`refit_least_squares` samples linspace(a, b, S) with S = 10 omega;
     in the normalised coordinate u = (z - a) / d these are linspace(0, omega,
     S) whatever the domain.  As gcd(omega, S - 1) = 1 no interior sample
     lands on a knot, so rounding in u never moves a sample to another bin and
-    the design matrix depends on (omega, k) alone.
+    the design matrix depends on omega alone.
     """
     S = LSQ_SAMPLES_PER_INTERVAL * omega
-    A = _design_matrix(np.linspace(0.0, float(omega), S), GridDomain(0.0, float(omega), omega, k))
+    A = _design_matrix(np.linspace(0.0, float(omega), S), 0.0, 1.0, omega)
     pinv = np.linalg.pinv(A)
-    rank = int(np.linalg.matrix_rank(A))
     A.flags.writeable = False
     pinv.flags.writeable = False
-    return A, pinv, rank
+    return A, pinv
 
 
-def refit_least_squares(old_weights, old_dom: GridDomain, new_dom: GridDomain):
-    """Refit weights so the spline on new_dom reproduces the old spline.
+def refit_least_squares(coef, a, b, new_a, new_b, omega: int, new_omega: int):
+    """Refit the weight rows of J features onto new domains by least squares.
 
-    The old spline is sampled densely over the new domain and the new
-    weights solve the resulting linear least-squares problem.  Outside the
-    old bounds the old spline is evaluated by the same clamped-window
+    ``coef`` (J, m, omega+3) holds the rows of J features whose domains
+    [a, b] (J,) are split into ``omega`` intervals; each feature's old
+    splines are sampled at S = 10 new_omega points spanning [new_a, new_b]
+    (J,) and the new rows solve the least-squares problem on ``new_omega``
+    intervals, one stacked product against the cached pseudo-inverse.
+    Outside the old bounds the old spline is evaluated by the same window
     formula, i.e. its edge segments extrapolate, so e.g. a linear spline
-    stays linear across a stretch.  ``old_weights`` may be (P,) or (m, P)
-    rows sharing the domain.  A singular system gets the minimum-norm
-    solution, flagged via ``rank_deficient``.
+    stays linear across a stretch.  Returns the new rows (J, m, new_omega+3)
+    and each feature's largest residual on the samples (J,).
     """
-    z = np.linspace(new_dom.a, new_dom.b, LSQ_SAMPLES_PER_INTERVAL * new_dom.omega)
-    y = eval_activation(z, old_weights, old_dom, clamp_theta=False)
-    A, pinv, rank = _lsq_factor(new_dom.omega, new_dom.k)
+    a, b = np.asarray(a, dtype=float)[:, None], np.asarray(b, dtype=float)[:, None]
+    z = np.linspace(new_a, new_b, LSQ_SAMPLES_PER_INTERVAL * new_omega, axis=-1)
+    D = _design_matrix(z, a, (b - a) / omega, omega, clamp_theta=False)
+    y = D @ np.asarray(coef, dtype=float).transpose(0, 2, 1)
+    A, pinv = _lsq_factor(new_omega)
     sol = pinv @ y
-    max_err = float(np.abs(A @ sol - y).max()) if y.size else 0.0
-    info = RefitInfo(max_err=max_err, rank=rank, rank_deficient=rank < new_dom.n_coef)
-    return sol.T, info
+    return sol.transpose(0, 2, 1), np.abs(A @ sol - y).max(axis=(1, 2))
 
 
-def refit_greville(old_weights, old_dom: GridDomain, new_dom: GridDomain):
+def refit_greville(coef, a, b, new_a, new_b, omega: int, new_omega: int):
     """Approximate refit: linearly interpolate weights over Greville points.
 
-    Old weights are treated as samples at the old Greville abscissae and
-    re-read at the new ones; queries past the old range clamp to the nearest
-    old weight.  Much cheaper than the exact least-squares route.
+    Takes the arguments of :func:`refit_least_squares` and returns the new
+    rows.  Old weights are treated as samples at the old Greville abscissae
+    and re-read at the new ones; queries past the old range clamp to the
+    nearest old weight.  Much cheaper than the exact least-squares route.
     """
-    g_old = greville_abscissae(old_dom)
-    g_new = greville_abscissae(new_dom)
-    old_weights = np.asarray(old_weights, dtype=float)
-    if old_weights.ndim == 1:
-        return np.interp(g_new, g_old, old_weights)
-    return np.stack([np.interp(g_new, g_old, row) for row in old_weights])
+    g_old, g_new = _greville(a, b, omega), _greville(new_a, new_b, new_omega)
+    # np.interp takes one row at a time
+    return np.array([[np.interp(gn, go, row) for row in rows]
+                     for gn, go, rows in zip(g_new, g_old, coef)])
 
 
-def refine_grid(old_weights, old_dom: GridDomain, new_omega: int):
-    """Re-express the spline on the same [a, b] with more grid intervals."""
-    if new_omega <= old_dom.omega:
-        raise ValueError(f"refinement needs new_omega > {old_dom.omega}, got {new_omega}")
-    new_dom = GridDomain(old_dom.a, old_dom.b, new_omega, old_dom.k)
-    new_w, info = refit_least_squares(old_weights, old_dom, new_dom)
-    return new_w, new_dom, info
+def refine_grid(coef, a, b, omega: int, new_omega: int):
+    """Re-express the rows (J, m, omega+3) of J features on the same bounds
+    [a, b] (J,) with more grid intervals; returns what
+    :func:`refit_least_squares` returns."""
+    if new_omega <= omega:
+        raise ValueError(f"refinement needs new_omega > {omega}, got {new_omega}")
+    return refit_least_squares(coef, a, b, a, b, omega, new_omega)

@@ -168,7 +168,7 @@ def test_apply_stretch_keeps_constant_function():
     coef = np.full((1, 2, dom.n_coef), 3.0)
     hist = make_hist(dom, [1.0, 1.0, 1.0, 1.0], ood=(5.0, 0.0), ood_a=-2.0)
     coef2, hist2, events = apply_adapt(hist, coef, {0: Decision("stretch", -2.0, 1.0)}, cfg)
-    dom2 = hist2.domains[0]
+    dom2 = GridDomain(hist2.a[0], hist2.b[0], hist2.omega)
     assert events == 1
     z = np.linspace(-2.0, 1.0, 300)
     for row in coef2[0]:
@@ -182,7 +182,7 @@ def test_apply_shrink_matches_on_overlap():
     cfg = AdaptConfig(alpha=0.5, refit_mode="exact_lsq")
     dom, coef, hist = make_state(rng)
     coef2, hist2, _ = apply_adapt(hist, coef, {0: Decision("shrink", 0.25, 0.75)}, cfg)
-    dom2 = hist2.domains[0]
+    dom2 = GridDomain(hist2.a[0], hist2.b[0], hist2.omega)
     z = np.linspace(0.25, 0.75, 400)
     for old, new in zip(coef[0], coef2[0]):
         err = np.abs(eval_activation(z, new, dom2) - eval_activation(z, old, dom)).max()
@@ -205,13 +205,12 @@ def test_manual_adapt_examples():
     cfg = AdaptConfig(alpha=0.5)
     dom, coef, hist = make_state(rng)
     _, hist2 = manual_adapt(hist, coef, [[0.0], [0.4], [1.0]], cfg)
-    dom2 = hist2.domains[0]
-    assert (dom2.a, dom2.b) == (0.0, 1.0)
+    assert (hist2.a[0], hist2.b[0]) == (0.0, 1.0)
     np.testing.assert_array_equal(hist2.hist, [[1.0, 1.0, 0.0, 1.0]])
 
-    dom3 = manual_adapt(hist, coef, [[2.0], [2.0], [2.0]], cfg)[1].domains[0]
-    assert dom3.a == pytest.approx(2.0 - 1e-6)
-    assert dom3.b == pytest.approx(2.0 + 1e-6)
+    hist3 = manual_adapt(hist, coef, [[2.0], [2.0], [2.0]], cfg)[1]
+    assert hist3.a[0] == pytest.approx(2.0 - 1e-6)
+    assert hist3.b[0] == pytest.approx(2.0 + 1e-6)
 
 
 def test_manual_adapt_preserves_constant_spline():
@@ -219,7 +218,7 @@ def test_manual_adapt_preserves_constant_spline():
     coef = np.full((1, 1, DOM4.n_coef), -0.7)
     hist = make_hist(DOM4, [1.0] * 4)
     coef2, hist2 = manual_adapt(hist, coef, [[-0.3], [0.9]], cfg)
-    dom2 = hist2.domains[0]
+    dom2 = GridDomain(hist2.a[0], hist2.b[0], hist2.omega)
     z = np.linspace(dom2.a, dom2.b, 200)
     np.testing.assert_allclose(eval_activation(z, coef2[0, 0], dom2), -0.7, atol=1e-10)
 
@@ -319,3 +318,25 @@ def test_layer_arrays_match_one_feature_histograms(stream, monkeypatch):
                 assert np.array_equal(layer.coef[j], got.coef[0])
     assert outcomes >= {"none", "shrink", "stretch",
                         "no bin above shrink threshold; domain would collapse"}
+
+
+@pytest.mark.parametrize("refit_mode", REFIT_MODES)
+def test_refine_and_manual_snap_match_one_feature_networks(refit_mode):
+    # a grid refinement and a manual snap refit a layer's features in one
+    # call: each feature's rows and histogram come out bitwise as a
+    # one-feature network gets them
+    net = init_network([3, 2], mode="kan", noise=0.5, seed=4, omega=5,
+                       cfg=AdaptConfig(refit_mode=refit_mode))
+    net.layers[0].hist = FeatureHistogram([-1.0, -0.5, 0.2], [1.0, 2.0, 0.9], 5, 0.1)
+    net.forward(np.random.default_rng(6).normal(size=(32, 3)), record=True)
+    singles = [_one_feature_net(net, j) for j in range(3)]
+    X = np.random.default_rng(5).normal(size=(32, 3))
+    for adapt in (lambda n, Z: n.refine_all(12), lambda n, Z: n.manual_adapt_all(Z)):
+        adapt(net, X)
+        layer = net.layers[0]
+        for j, single in enumerate(singles):
+            adapt(single, X[:, j:j + 1])
+            got = single.layers[0]
+            assert np.array_equal(layer.coef[j], got.coef[0])
+            for name in ("a", "b", "counts", "extremes"):
+                assert np.array_equal(getattr(layer.hist, name)[j], getattr(got.hist, name)[0])

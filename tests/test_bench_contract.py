@@ -79,6 +79,10 @@ def test_training_spans_are_traced_once_per_layer():
         assert calls.get(name, 0) > 0, name
     steps = 30
     assert calls["histogram.update"] == calls["adapt.decide"] == len(net.layers) * steps
+    # one refit per adaptation event and per layer of the one refinement
+    assert calls["spline.refine_grid"] == len(net.layers)
+    assert calls["spline.refit_least_squares"] == (calls["adapt.apply_adapt"]
+                                                   + calls["spline.refine_grid"])
     assert calls["optim.Adam.step"] == steps
 
 

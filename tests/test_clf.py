@@ -23,7 +23,7 @@ from adaptkan.clf import (
 )
 from adaptkan.network import NonFiniteError, init_network
 from adaptkan.optim import TrainPlan, train
-from adaptkan.spline import greville_abscissae
+from adaptkan.spline import GridDomain, greville_abscissae
 
 
 def test_analytical_clf_values():
@@ -205,7 +205,8 @@ def test_lyapunov_value_and_grad_zero_net():
 def test_lyapunov_identity_net_squared_norm():
     # a 2 -> 2 identity network gives V = |x|^2 / 2 and grad = x
     net = init_network([2, 2], mode="linear", noise=0.0, slope=0.0, seed=0)
-    g = greville_abscissae(net.layers[0].hist.domains[0])
+    hist = net.layers[0].hist
+    g = greville_abscissae(GridDomain(hist.a[0], hist.b[0], hist.omega))
     for j in range(2):
         net.layers[0].coef[j, j, :] = g
     X = np.array([[0.3, -0.5], [0.8, 0.1]])
@@ -292,8 +293,8 @@ def test_train_clf_manual_mode_adapts_domains_to_batches():
     net = _clf_net(13)
     train_clf(net, X, ClfLossConfig(), epochs=2, lr=1e-3, batch_size=64, seed=13,
               adapt_mode="manual", manual_every=1)
-    dom = net.layers[0].hist.domains[0]
-    assert dom.a >= 2.9 and dom.b <= 5.1
+    hist = net.layers[0].hist
+    assert hist.a[0] >= 2.9 and hist.b[0] <= 5.1
     with pytest.raises(ValueError):
         train_clf(net, X, ClfLossConfig(), epochs=1, adapt_mode="manual")
 

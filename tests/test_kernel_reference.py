@@ -46,8 +46,8 @@ def ref_silu(z, order=0):
 
 
 def ref_layer_eval(layer, Z):
-    a = np.array([dom.a for dom in layer.hist.domains])
-    d = np.array([dom.d for dom in layer.hist.domains])
+    a = layer.hist.a
+    d = (layer.hist.b - a) / layer.omega
     u = (Z - a) / d
     bins = np.clip(np.floor(u), 0.0, layer.omega - 1).astype(np.int64)
     t = np.clip(u - bins, 0.0, 1.0)

@@ -153,8 +153,8 @@ def test_manual_mode_adapts_domains_to_batches():
     y = X[:, 0]
     plan = TrainPlan(rounds=[{"lr": 1e-3, "steps": 8, "omega": 3}], batch_size=64, seed=13)
     train(net, (X, y, X, y), plan, adapt_mode="manual", manual_every=1)
-    dom = net.layers[0].hist.domains[0]
-    assert dom.a >= 2.9 and dom.b <= 5.1
+    hist = net.layers[0].hist
+    assert hist.a[0] >= 2.9 and hist.b[0] <= 5.1
 
 
 def test_batch_hook_is_applied():

@@ -17,6 +17,7 @@ from adaptkan.spline import (
     refit_least_squares,
     window_columns,
 )
+from adaptkan.spline import _lsq_factor
 
 DOM4 = GridDomain(0.0, 1.0, 4, 3)
 
@@ -226,19 +227,40 @@ def _dense_err(w_new, dom_new, w_old, dom_old, lo, hi, n=500):
     return np.abs(eval_activation(z, w_new, dom_new) - eval_activation(z, w_old, dom_old)).max()
 
 
+def _lsq(w, dom, new_dom):
+    """Rows (P,) or (m, P) of one feature refit from dom onto new_dom: (rows, residual)."""
+    W = np.asarray(w, dtype=float)
+    W2, err = refit_least_squares(W.reshape(1, -1, dom.n_coef), [dom.a], [dom.b],
+                                  [new_dom.a], [new_dom.b], dom.omega, new_dom.omega)
+    return W2[0].reshape(W.shape[:-1] + (new_dom.n_coef,)), float(err[0])
+
+
+def _greville(w, dom, new_dom):
+    W = np.asarray(w, dtype=float)
+    W2 = refit_greville(W.reshape(1, -1, dom.n_coef), [dom.a], [dom.b], [new_dom.a],
+                        [new_dom.b], dom.omega, new_dom.omega)
+    return W2[0].reshape(W.shape[:-1] + (new_dom.n_coef,))
+
+
+def _refine(w, dom, new_omega):
+    """Rows (P,) of one feature refined onto new_omega: (rows, new domain, residual)."""
+    W2, err = refine_grid(np.asarray(w, dtype=float)[None, None], [dom.a], [dom.b], dom.omega,
+                          new_omega)
+    return W2[0, 0], GridDomain(dom.a, dom.b, new_omega, 3), float(err[0])
+
+
 def test_refit_lsq_constant():
     w = np.full(DOM4.n_coef, 1.5)
     new_dom = GridDomain(-2.0, 4.0, 4, 3)
-    w2, info = refit_least_squares(w, DOM4, new_dom)
+    w2, _ = _lsq(w, DOM4, new_dom)
     assert _dense_err(w2, new_dom, w, DOM4, -2.0, 4.0) <= 1e-10
-    assert not info.rank_deficient
 
 
 def test_refit_lsq_linear_stretch_overlap():
     dom = GridDomain(0.0, 1.0, 5, 3)
     w = 3.0 * greville_abscissae(dom) - 1.0
     new_dom = GridDomain(-1.0, 2.0, 5, 3)
-    w2, _ = refit_least_squares(w, dom, new_dom)
+    w2, _ = _lsq(w, dom, new_dom)
     z = np.linspace(0.0, 1.0, 400)
     err = np.abs(eval_activation(z, w2, new_dom) - (3.0 * z - 1.0)).max()
     assert err <= 1e-8
@@ -247,16 +269,16 @@ def test_refit_lsq_linear_stretch_overlap():
 def test_refit_lsq_identity():
     rng = np.random.default_rng(23)
     w = rng.standard_normal(DOM4.n_coef)
-    w2, info = refit_least_squares(w, DOM4, DOM4)
+    w2, max_err = _lsq(w, DOM4, DOM4)
     assert _dense_err(w2, DOM4, w, DOM4, 0.0, 1.0) <= 1e-10
-    assert info.max_err <= 1e-10
+    assert max_err <= 1e-10
 
 
 def test_refit_lsq_multiple_rows():
     rng = np.random.default_rng(29)
     W = rng.standard_normal((3, DOM4.n_coef))
     new_dom = GridDomain(0.25, 0.75, 4, 3)
-    W2, _ = refit_least_squares(W, DOM4, new_dom)
+    W2, _ = _lsq(W, DOM4, new_dom)
     assert W2.shape == (3, new_dom.n_coef)
     for row, row2 in zip(W, W2):
         assert _dense_err(row2, new_dom, row, DOM4, 0.25, 0.75) <= 1e-6
@@ -265,10 +287,10 @@ def test_refit_lsq_multiple_rows():
 def test_refit_greville_identity_and_constant():
     rng = np.random.default_rng(31)
     w = rng.standard_normal(DOM4.n_coef)
-    np.testing.assert_array_equal(refit_greville(w, DOM4, DOM4), w)
+    np.testing.assert_array_equal(_greville(w, DOM4, DOM4), w)
     wc = np.full(DOM4.n_coef, 2.0)
     np.testing.assert_allclose(
-        refit_greville(wc, DOM4, GridDomain(-3.0, 5.0, 4, 3)), 2.0, atol=1e-14)
+        _greville(wc, DOM4, GridDomain(-3.0, 5.0, 4, 3)), 2.0, atol=1e-14)
 
 
 def test_refit_greville_linear_shift():
@@ -278,13 +300,13 @@ def test_refit_greville_linear_shift():
     w = 2.0 * greville_abscissae(dom) + 1.0
     expected = 2.0 * np.clip(greville_abscissae(new_dom),
                              greville_abscissae(dom)[0], greville_abscissae(dom)[-1]) + 1.0
-    np.testing.assert_allclose(refit_greville(w, dom, new_dom), expected, atol=1e-12)
+    np.testing.assert_allclose(_greville(w, dom, new_dom), expected, atol=1e-12)
 
 
 def test_refine_constant_preserved():
     w = np.full(GridDomain(0, 1, 3, 3).n_coef, 0.7)
-    w2, dom2, _ = refine_grid(w, GridDomain(0, 1, 3, 3), 5)
-    assert dom2.omega == 5
+    w2, dom2, _ = _refine(w, GridDomain(0, 1, 3, 3), 5)
+    assert w2.shape == (dom2.n_coef,)
     assert _dense_err(w2, dom2, w, GridDomain(0, 1, 3, 3), 0, 1) <= 1e-10
 
 
@@ -294,7 +316,7 @@ def test_refine_random_3_to_50():
     w = rng.standard_normal(dom.n_coef)
     z = np.linspace(-1, 1, 800)
     vals = eval_activation(z, w, dom)
-    w2, dom2, info = refine_grid(w, dom, 50)
+    w2, dom2, _ = _refine(w, dom, 50)
     err = np.abs(eval_activation(z, w2, dom2) - vals).max()
     assert err <= 1e-3 * (vals.max() - vals.min())
 
@@ -303,12 +325,20 @@ def test_refine_residual_self_check():
     rng = np.random.default_rng(41)
     dom = GridDomain(0.0, 2.0, 3, 3)
     w = rng.standard_normal(dom.n_coef)
-    w2, dom2, info = refine_grid(w, dom, 7)
+    w2, dom2, max_err = _refine(w, dom, 7)
     knots = dom.edges()[1:-1]
     err = np.abs(eval_activation(knots, w2, dom2) - eval_activation(knots, w, dom)).max()
-    assert err <= info.max_err + 1e-12
+    assert err <= max_err + 1e-12
+
+
+def test_lsq_factor_has_full_rank():
+    # S = 10 omega samples put at least 9 in every interval
+    for omega in range(1, 65):
+        A, _ = _lsq_factor(omega)
+        assert A.shape == (10 * omega, omega + 3)
+        assert np.linalg.matrix_rank(A) == omega + 3
 
 
 def test_refine_requires_larger_omega():
     with pytest.raises(ValueError):
-        refine_grid(np.zeros(DOM4.n_coef), DOM4, 4)
+        refine_grid(np.zeros((1, 1, DOM4.n_coef)), [DOM4.a], [DOM4.b], DOM4.omega, 4)
