@@ -207,7 +207,8 @@ def lyapunov_value_and_grad(net: AdaptKanNet, X, mode: str = "squared_norm"):
         seed = np.zeros_like(Y)
         seed[:, 0] = 1.0
     elif mode == "squared_norm":
-        V = 0.5 * (Y**2).sum(axis=1)
+        with np.errstate(over="ignore"):  # an infinite V fails the loss
+            V = 0.5 * (Y**2).sum(axis=1)
         seed = Y
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -242,6 +243,9 @@ def _hinge(r):
     return np.maximum(0.0, r), (r > 0).astype(float)
 
 
+# values past the float range give a non-finite total, which fails the step
+# as NonFiniteError rather than as a floating-point warning
+@np.errstate(over="ignore", invalid="ignore")
 def _loss_terms_from_values(X, V, V0, LfV, LgV, cfg: ClfLossConfig):
     """Loss terms, and the cotangents of the weighted total w.r.t. V0 and
     the per-sample V, LfV and LgV (subgradients at the hinge kinks)."""
@@ -290,18 +294,19 @@ def clf_loss_and_grads(net: AdaptKanNet, X, cfg: ClfLossConfig, record: bool = F
     tangents[:, :, 0] = dynamics_f(X)
     tangents[:, :, 1] = DYNAMICS_G
     Y, Ydot, caches = net.forward_jvp(X, tangents, record=record)
+    Y0, caches0 = net.forward(np.zeros((1, n)), record=False)
 
     if cfg.output_mode == "direct":
         V = Y[:, 0]
         LfV = Ydot[:, 0, 0]
         LgV = Ydot[:, 0, 1]
+        V0 = Y0[0, 0]
     else:
-        V = 0.5 * (Y**2).sum(axis=1)
-        LfV = (Y * Ydot[:, :, 0]).sum(axis=1)
-        LgV = (Y * Ydot[:, :, 1]).sum(axis=1)
-
-    Y0, caches0 = net.forward(np.zeros((1, n)), record=False)
-    V0 = Y0[0, 0] if cfg.output_mode == "direct" else 0.5 * (Y0[0] ** 2).sum()
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total fails below
+            V = 0.5 * (Y**2).sum(axis=1)
+            LfV = (Y * Ydot[:, :, 0]).sum(axis=1)
+            LgV = (Y * Ydot[:, :, 1]).sum(axis=1)
+            V0 = 0.5 * (Y0[0] ** 2).sum()
     terms, (dV0, dV, dLf, dLg) = _loss_terms_from_values(X, V, float(V0), LfV, LgV, cfg)
 
     if cfg.output_mode == "direct":

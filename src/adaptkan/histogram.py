@@ -167,12 +167,14 @@ class FeatureHistogram:
         mass now outside the bounds into the tally.  Everything is then
         rescaled so the grand total matches the pre-refit total.  The
         extremes widen to the new bounds.  A feature whose bounds and omega
-        stay the same keeps its counts bitwise.
+        stay the same keeps its counts bitwise: only the others are moved.
         """
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        counts = self.counts.copy() if omega == self.omega else np.empty((a.size, omega + 2))
         # np.interp takes one feature at a time
-        counts = [_transfer(*row, omega) for row in zip(self.a, self.b, self.counts,
-                                                         self.extremes, a, b)]
+        for j in np.flatnonzero((a != self.a) | (b != self.b) | (omega != self.omega)).tolist():
+            counts[j] = _transfer(self.a[j], self.b[j], self.counts[j], self.extremes[j],
+                                  a[j], b[j], omega)
         extremes = np.stack([np.minimum(self.extremes[:, 0], a),
                              np.maximum(self.extremes[:, 1], b)], axis=-1)
         return FeatureHistogram(a, b, omega, self.alpha, counts, extremes)

@@ -54,7 +54,7 @@ from .spline import GridDomain, basis, dense_basis, greville_abscissae, refine_g
 
 class NonFiniteError(FloatingPointError):
     """Raised when a layer produces or receives non-finite values, or a loss
-    built on them is non-finite (``layer`` None)."""
+    or optimiser moment built on them is non-finite (``layer`` None)."""
 
     def __init__(self, layer: int | None, where: str = "activations"):
         super().__init__(f"non-finite {where}" + ("" if layer is None else f" in layer {layer}"))

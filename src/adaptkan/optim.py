@@ -24,7 +24,9 @@ class Adam:
     """Bias-corrected Adam; ``decoupled=True`` gives AdamW-style weight decay.
 
     State is keyed by parameter position, so the caller must pass parameter
-    and gradient lists in a stable order.  Updates happen in place.
+    and gradient lists in a stable order.  Updates happen in place.  A step
+    whose moments go non-finite (a gradient, or its square, past the float
+    range) raises NonFiniteError before any parameter moves.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
@@ -50,10 +52,13 @@ class Adam:
         for p, g, m, v in zip(params, grads, self.m, self.v):
             if not self.decoupled and self.weight_decay:
                 g = g + self.weight_decay * p
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+                m *= self.beta1
+                m += (1.0 - self.beta1) * g
+                v *= self.beta2
+                v += (1.0 - self.beta2) * g * g
+            if not (np.isfinite(m).all() and np.isfinite(v).all()):
+                raise NonFiniteError(None, "optimiser moments")
             if self.decoupled and self.weight_decay:
                 p -= lr * self.weight_decay * p
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, persistence, and determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,23 @@ def test_clf_train_failure_writes_metrics_and_exits_1(tmp_path, capsys):
     lines = (tmp_path / "clf_metrics.csv").read_text().splitlines()
     assert lines == ["epoch,loss,val_loss", "0,nan,nan", "1,nan,", "2,nan,nan"]
     assert (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("lr", [1e60, 1e200])
+def test_clf_train_divergence_fails_without_warnings(tmp_path, capsys, lr):
+    # lr 1e60 overflows Adam's squared gradient on a finite loss, lr 1e200
+    # the squared-norm outputs: both fail every epoch with no RuntimeWarning
+    cfg = {"shape": [2, 4], "epochs": 3, "train_n": 1000, "lr": lr,
+           "init": {"mode": "linear", "domain": [-3.0, 3.0]}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["clf", "train", "--config", write_cfg(tmp_path, cfg),
+                     "--out-dir", str(tmp_path)])
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code == 1
+    assert "clf_metrics.csv" in capsys.readouterr().err
+    lines = (tmp_path / "clf_metrics.csv").read_text().splitlines()
+    assert lines == ["epoch,loss,val_loss", "0,nan,nan", "1,nan,", "2,nan,nan"]
 
 
 def test_io_error_exit_code(tmp_path):
