@@ -156,7 +156,7 @@ def decide(h: FeatureHistogram, cfg: AdaptConfig) -> dict:
 
 
 def _refit_weights(coef, a, b, new_a, new_b, omega: int, cfg: AdaptConfig):
-    """Weight rows (J, m, P) of J features re-expressed on the domains
+    """Weight rows (J, m, P) of J features re-expressed on the bounds
     [new_a, new_b] (J,) by cfg.refit_mode, keeping omega intervals."""
     if cfg.refit_mode == "exact_lsq":
         return refit_least_squares(coef, a, b, new_a, new_b, omega, omega)[0]

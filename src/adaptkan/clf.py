@@ -207,8 +207,7 @@ def lyapunov_value_and_grad(net: AdaptKanNet, X, mode: str = "squared_norm"):
         seed = np.zeros_like(Y)
         seed[:, 0] = 1.0
     elif mode == "squared_norm":
-        with np.errstate(over="ignore"):  # an infinite V fails the loss
-            V = 0.5 * (Y**2).sum(axis=1)
+        V = 0.5 * (Y**2).sum(axis=1)
         seed = Y
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -232,9 +231,10 @@ def clf_losses(X, v_and_grad, cfg: ClfLossConfig):
     evaluates the provider at the origin itself.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    V, grad = v_and_grad(X)
-    V0, _ = v_and_grad(np.zeros((1, X.shape[1])))
-    LfV, LgV = lie_derivatives(X, grad)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total fails below
+        V, grad = v_and_grad(X)
+        V0, _ = v_and_grad(np.zeros((1, X.shape[1])))
+        LfV, LgV = lie_derivatives(X, grad)
     return _loss_terms_from_values(X, V, float(V0[0]), LfV, LgV, cfg)[0]
 
 

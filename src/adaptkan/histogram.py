@@ -17,8 +17,8 @@ features of a layer:
     alpha     (n,)           EMA rate per feature
 
 so a layer counts a whole (B, n) batch with one offset ``bincount`` and one
-EMA, and moves any of its domains with one :meth:`FeatureHistogram.refit`.
-A single feature is the n = 1 layer.
+EMA, and moves the domain of any of its features with one
+:meth:`FeatureHistogram.refit`.  A single feature is the n = 1 layer.
 
 Training and OOD histograms alike count and read bins by one rule,
 :func:`histogram_bin`, so a value is read back from the bin it was counted in.
@@ -61,7 +61,7 @@ def floored_prob(x, counts, a, b) -> np.ndarray:
 
 
 class FeatureHistogram:
-    """EMA bin counts over the grid domains of a layer's n input features.
+    """EMA bin counts over the grid domain of each of a layer's n input features.
 
     ``FeatureHistogram(a, b, omega, alpha, counts, extremes)`` copies its
     state arrays, described in the module docstring; ``alpha`` may be one
@@ -157,7 +157,7 @@ class FeatureHistogram:
         return self
 
     def refit(self, a, b, omega: int) -> "FeatureHistogram":
-        """Transfer the EMA state onto the domains [a, b] (n,) with ``omega``
+        """Transfer the EMA state onto the bounds [a, b] (n,) with ``omega``
         intervals, conserving each feature's total count.
 
         New bin values come from piecewise-linear interpolation of the old

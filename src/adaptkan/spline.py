@@ -15,6 +15,9 @@ the local coordinate is clamped, so the function extends as a constant.
 :func:`dense_basis` scatters them into a dense (samples, n * P) basis that
 contracts with weights as one matrix product; the single-activation API
 below is the n = 1 case, and the network layers use the same two routines.
+The refits (:func:`refit_least_squares`, :func:`refit_greville`,
+:func:`refine_grid`) move the weight rows of a layer's features to new
+domains in one call.
 
 Only k=3 is supported; the matrix for other degrees is not provided.
 """
@@ -95,17 +98,16 @@ def _d_theta(mat: np.ndarray) -> np.ndarray:
 _WINDOW_MATS = (M_CUBIC.T, _d_theta(M_CUBIC.T), _d_theta(_d_theta(M_CUBIC.T)))
 
 
-def basis(z, a, d, omega: int, order: int = 0, clamp_theta: bool = True):
+def basis(z, a, d, omega: int, order: int = 0):
     """Cubic window basis of the value and its first ``order`` z-derivatives.
 
     ``z`` (..., n) holds samples of n features whose domains start at ``a``
     and have interval width ``d`` (scalars or (n,) arrays), each split into
     ``omega`` intervals.  Returns ``(bins, Cs)``: ``bins`` (..., n) is the
     interval index, clamped to [0, omega-1], and ``Cs[o]`` (..., n, 4) the
-    order-o window, whose entry s multiplies weight w_{bins+s}.  With
-    ``clamp_theta`` the local coordinate is clipped to [0, 1], extending the
-    spline as a constant outside [a, b]; without it the edge segments
-    extrapolate.  Derivative windows are zero outside [a, b].
+    order-o window, whose entry s multiplies weight w_{bins+s}.  The local
+    coordinate is clipped to [0, 1], extending the spline as a constant
+    outside [a, b], and derivative windows are zero there.
     """
     # Runs per layer per training step, where np.clip's Python wrapper and
     # np.stack cost more than the arithmetic, hence the in-place ufunc
@@ -117,9 +119,8 @@ def basis(z, a, d, omega: int, order: int = 0, clamp_theta: bool = True):
     np.maximum(bins, 0.0, out=bins)
     np.minimum(bins, omega - 1, out=bins)
     theta = u - bins
-    if clamp_theta:
-        np.maximum(theta, 0.0, out=theta)
-        np.minimum(theta, 1.0, out=theta)
+    np.maximum(theta, 0.0, out=theta)
+    np.minimum(theta, 1.0, out=theta)
     shape = u.shape + (4,)
     pows = np.empty(shape)
     t2 = np.multiply(theta, theta, out=pows[..., 1])
@@ -161,39 +162,37 @@ def dense_basis(cols: np.ndarray, C: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _design_matrix(z, a, d, omega: int, order: int = 0, clamp_theta: bool = True) -> np.ndarray:
+def _design_matrix(z, a, d, omega: int, order: int = 0) -> np.ndarray:
     """Dense (..., S, omega+3) basis of the order-th z derivative at samples
     z (..., S) on domains starting at ``a`` with interval width ``d``, both
     broadcast against z."""
     z = np.asarray(z, dtype=float)
-    bins, Cs = basis(z, a, d, omega, order, clamp_theta)
+    bins, Cs = basis(z, a, d, omega, order)
     P = omega + 3
     D = dense_basis(window_columns(bins.reshape(-1, 1), P), Cs[order].reshape(-1, 1, 4),
                     np.empty((z.size, P)))
     return D.reshape(z.shape + (P,))
 
 
-def _contract(z, w_row, dom: GridDomain, order: int, clamp_theta: bool = True):
+def _contract(z, w_row, dom: GridDomain, order: int):
     """Order-th z derivative of the spline(s) with weights w_row (P,) or (m, P)."""
     basis_matrix(dom.k)  # raises for the degrees basis() does not cover
     w_row = np.asarray(w_row, dtype=float)
     if w_row.shape[-1] != dom.n_coef:
         raise ValueError(f"expected {dom.n_coef} weights, got {w_row.shape[-1]}")
-    out = _design_matrix(np.atleast_1d(z), dom.a, dom.d, dom.omega, order, clamp_theta) @ w_row.T
+    out = _design_matrix(np.atleast_1d(z), dom.a, dom.d, dom.omega, order) @ w_row.T
     if np.ndim(z) != 0:
         return out
     return float(out[0]) if out.ndim == 1 else out[0]
 
 
-def eval_activation(z, w_row, dom: GridDomain, clamp_theta: bool = True):
+def eval_activation(z, w_row, dom: GridDomain):
     """Evaluate the spline with weights ``w_row`` at z (scalar or array).
 
     ``w_row`` may also hold m weight rows (m, P), giving (len(z), m) values.
-    Outside [a, b] the function extends as a constant; pass
-    ``clamp_theta=False`` to extrapolate the edge segments instead (used
-    when sampling a spline for refits).
+    Outside [a, b] the function extends as a constant.
     """
-    return _contract(z, w_row, dom, 0, clamp_theta)
+    return _contract(z, w_row, dom, 0)
 
 
 def activation_dz(z, w_row, dom: GridDomain):
@@ -251,15 +250,27 @@ def refit_least_squares(coef, a, b, new_a, new_b, omega: int, new_omega: int):
     splines are sampled at S = 10 new_omega points spanning [new_a, new_b]
     (J,) and the new rows solve the least-squares problem on ``new_omega``
     intervals, one stacked product against the cached pseudo-inverse.
-    Outside the old bounds the old spline is evaluated by the same window
-    formula, i.e. its edge segments extrapolate, so e.g. a linear spline
-    stays linear across a stretch.  Returns the new rows (J, m, new_omega+3)
-    and each feature's largest residual on the samples (J,).
+
+    The target is the old spline f as the forward pass computes it inside
+    [a, b], continued linearly with its edge slope outside:
+    f(clip(z)) + f'(clip(z)) * (z - clip(z)).  So a linear spline stays
+    linear across a stretch, and the newly covered inputs get neither the
+    forward pass's flat extension nor the edge cubics' growth.  Returns the
+    new rows (J, m, new_omega+3) and each feature's largest residual on the
+    samples (J,).
     """
     a, b = np.asarray(a, dtype=float)[:, None], np.asarray(b, dtype=float)[:, None]
+    d = (b - a) / omega
+    coef = np.asarray(coef, dtype=float)
     z = np.linspace(new_a, new_b, LSQ_SAMPLES_PER_INTERVAL * new_omega, axis=-1)
-    D = _design_matrix(z, a, (b - a) / omega, omega, clamp_theta=False)
-    y = D @ np.asarray(coef, dtype=float).transpose(0, 2, 1)
+    y = _design_matrix(z, a, d, omega) @ coef.transpose(0, 2, 1)
+    # Edge slopes (J, m) from the weights: the first segment at theta = 0 and
+    # the last at theta = 1.  basis(b, order=1) cannot give the latter, as
+    # (b - a) / d may round above omega and read as outside the domain.
+    lo = coef[..., :4] @ _WINDOW_MATS[1][3] / d
+    hi = coef[..., -4:] @ _WINDOW_MATS[1].sum(axis=0) / d
+    y += np.minimum(z - a, 0.0)[..., None] * lo[:, None]
+    y += np.maximum(z - b, 0.0)[..., None] * hi[:, None]
     A, pinv = _lsq_factor(new_omega)
     sol = pinv @ y
     return sol.transpose(0, 2, 1), np.abs(A @ sol - y).max(axis=(1, 2))

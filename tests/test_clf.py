@@ -350,6 +350,19 @@ def test_train_clf_nan_epoch_is_flagged_not_raised():
         assert np.isfinite(history[1]["loss"]) and np.isfinite(history[1]["val_loss"])
 
 
+def test_clf_losses_past_the_float_range_fail_without_warnings():
+    # outputs ~1e200: their squares and the seeded reverse pass overflow,
+    # and the non-finite total raises (a RuntimeWarning is an error here)
+    net = init_network([2, 2], mode="linear", noise=0.0, slope=0.0, seed=0)
+    net.parameters()[0][:] = 1e200
+    X = np.random.default_rng(0).uniform(-1, 1, (64, 2))
+    cfg = ClfLossConfig(output_mode="squared_norm")
+    with pytest.raises(NonFiniteError):
+        clf_losses(X, make_network_clf(net, "squared_norm"), cfg)
+    with pytest.raises(NonFiniteError):
+        clf_loss_and_grads(net, X, cfg)
+
+
 def test_train_clf_overflowing_origin_term_fails_the_epoch():
     # V0 ~ 1e200 squares past the float range: a failed epoch, not an OverflowError
     net = init_network([2, 1], mode="linear", noise=0.0, slope=0.0, seed=0)

@@ -124,6 +124,24 @@ def test_geometric_convergence_small_alpha():
     assert np.linalg.norm(h.hist[0] - target) == pytest.approx(expected, rel=1e-12)
 
 
+def test_refit_moves_only_the_features_whose_grid_changes(monkeypatch):
+    from adaptkan import histogram
+
+    moved = []
+    transfer = histogram._transfer
+    monkeypatch.setattr(histogram, "_transfer",
+                        lambda a, *rest: moved.append(a) or transfer(a, *rest))
+    rng = np.random.default_rng(4)
+    h = FeatureHistogram([-1.0, 0.0, 2.0], [1.0, 1.0, 3.0], 5, 0.1,
+                         counts=rng.uniform(0.0, 2.0, (3, 7)))
+    h2 = h.refit([-1.0, 0.25, 2.0], [1.0, 1.0, 3.0], 5)
+    assert moved == [0.0]
+    np.testing.assert_array_equal(h2.counts[[0, 2]], h.counts[[0, 2]])
+    moved.clear()
+    h.refit(h.a, h.b, 8)  # a new interval count moves every feature
+    assert moved == [-1.0, 0.0, 2.0]
+
+
 def test_refit_identity_is_noop():
     h = one(DOM4, alpha=0.1, hist=[1.0, 2.0, 3.0, 4.0], ood=[0.5, 0.25])
     h2 = h.refit(h.a, h.b, h.omega)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from adaptkan.network import init_network
+from adaptkan.network import NonFiniteError, init_network
 from adaptkan.optim import Adam, Round, TrainPlan, lr_at, minibatches, train
+from adaptkan.tasks import generate, get_task
 
 
 def test_adam_first_step_magnitude():
@@ -19,6 +20,31 @@ def test_adam_zero_gradient_no_move():
     p = [np.array([3.0])]
     Adam(lr=0.1).step(p, [np.array([0.0])])
     assert p[0][0] == 3.0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_wide_recipe_keeps_its_accuracy_across_stretches(seed):
+    # [2, 32, 32, 1] at batch 1024, omega 10 then 50: over a hundred
+    # stretches per run.  Refitting the edge cubics' extrapolation ended
+    # these runs at test RMSE 2.4e3 and 1.3e4.
+    (X_tr, y_tr), (X_te, y_te) = generate(get_task("II.38.3"), seed=seed)
+    net = init_network([2, 32, 32, 1], mode="kan", noise=0.5, seed=seed)
+    plan = TrainPlan(rounds=[{"lr": 0.01, "steps": 10, "omega": 10},
+                             {"lr": 0.005, "steps": 10, "omega": 50}],
+                     batch_size=1024, seed=seed)
+    history = train(net, (X_tr, y_tr, X_te, y_te), plan)
+    assert net.adapt_events > 100
+    assert history[-1]["test_rmse"] < 200.0
+
+
+def test_adam_non_finite_moment_raises_before_moving():
+    # a gradient whose square overflows, or an infinite one, fails the step
+    for g in (np.array([1.0, 1e200]), np.array([1.0, np.inf])):
+        p = np.array([0.5, -0.5])
+        opt = Adam(lr=0.1)
+        with pytest.raises(NonFiniteError):
+            opt.step([p], [g])
+        np.testing.assert_array_equal(p, [0.5, -0.5])
 
 
 def test_adamw_decoupled_decay():

@@ -266,6 +266,43 @@ def test_refit_lsq_linear_stretch_overlap():
     assert err <= 1e-8
 
 
+def test_refit_lsq_stretch_keeps_the_weight_scale():
+    # the old spline continues linearly past its bounds; fitting its edge
+    # cubics instead grew max |w| here from 2.3 to 55
+    w = np.random.default_rng(0).standard_normal((1, 3, 13))
+    w2, _ = refit_least_squares(w, [-1.0], [1.0], [-1.5], [1.5], 10, 10)
+    assert np.abs(w2).max() <= 3.0 * np.abs(w).max()
+
+
+def test_refit_lsq_covers_new_inputs_by_the_linear_rule():
+    # f(clip(z)) + f'(clip(z)) (z - clip(z)) on the newly covered inputs, to
+    # within the residual the refit reports on its samples
+    dom, new_dom = GridDomain(-1.0, 1.0, 10, 3), GridDomain(-1.5, 1.5, 10, 3)
+    W = np.random.default_rng(0).standard_normal((3, dom.n_coef))
+    W2, max_err = refit_least_squares(W[None], [dom.a], [dom.b], [new_dom.a], [new_dom.b],
+                                      dom.omega, new_dom.omega)
+    z = np.linspace(new_dom.a, new_dom.b, 10 * new_dom.omega)  # the refit's samples
+    zc = np.clip(z, dom.a, dom.b)
+    # the slope at b from just inside, where the last segment still reads it
+    slope = activation_dz(np.minimum(zc, np.nextafter(dom.b, -np.inf)), W, dom)
+    target = eval_activation(zc, W, dom) + slope * (z - zc)[:, None]
+    new = (z < dom.a) | (z > dom.b)
+    err = np.abs(eval_activation(z, W2[0], new_dom) - target)[new].max()
+    assert 0.0 < err <= max_err[0] + 1e-12
+
+
+def test_refit_lsq_linear_spline_stays_linear_past_b():
+    # (b - a) / d rounds above omega on this domain, so a derivative window
+    # read at b is zero; the edge slope must come from the last segment
+    dom = GridDomain(-3.0, 0.21, 50, 3)
+    assert (dom.b - dom.a) / dom.d > dom.omega
+    w = 2.0 * greville_abscissae(dom) - 1.0
+    new_dom = GridDomain(-3.0, 1.5, 50, 3)
+    w2, _ = _lsq(w, dom, new_dom)
+    z = np.linspace(new_dom.a, new_dom.b, 999)
+    assert np.abs(eval_activation(z, w2, new_dom) - (2.0 * z - 1.0)).max() <= 1e-8
+
+
 def test_refit_lsq_identity():
     rng = np.random.default_rng(23)
     w = rng.standard_normal(DOM4.n_coef)
