@@ -26,7 +26,8 @@ class Adam:
     State is keyed by parameter position, so the caller must pass parameter
     and gradient lists in a stable order.  Updates happen in place.  A step
     whose moments go non-finite (a gradient, or its square, past the float
-    range) raises NonFiniteError before any parameter moves.
+    range) raises NonFiniteError before any parameter moves and drops the
+    moments, so the next step starts like a fresh optimiser's first.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
@@ -58,6 +59,7 @@ class Adam:
                 v *= self.beta2
                 v += (1.0 - self.beta2) * g * g
             if not (np.isfinite(m).all() and np.isfinite(v).all()):
+                self.t, self.m, self.v = 0, None, None  # the next step starts afresh
                 raise NonFiniteError(None, "optimiser moments")
             if self.decoupled and self.weight_decay:
                 p -= lr * self.weight_decay * p

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+
 import numpy as np
 
 # Coefficient matrix for uniform cubic segments, basis ordered so that row s

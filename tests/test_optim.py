@@ -45,6 +45,9 @@ def test_adam_non_finite_moment_raises_before_moving():
         with pytest.raises(NonFiniteError):
             opt.step([p], [g])
         np.testing.assert_array_equal(p, [0.5, -0.5])
+        # the failed step leaves no moments behind: the next one is a first step
+        opt.step([p], [np.array([2.0, -3.0])])
+        np.testing.assert_allclose(p, [0.5 - 0.1, -0.5 + 0.1], rtol=1e-6)
 
 
 def test_adamw_decoupled_decay():
