@@ -58,7 +58,9 @@ class Adam:
                 m += (1.0 - self.beta1) * g
                 v *= self.beta2
                 v += (1.0 - self.beta2) * g * g
-            if not (np.isfinite(m).all() and np.isfinite(v).all()):
+            # v is non-finite whenever m is, as m averages the gradients v
+            # squares; v >= 0, so its max is finite only if every entry is
+            if not math.isfinite(v.max()):
                 self.t, self.m, self.v = 0, None, None  # the next step starts afresh
                 raise NonFiniteError(None, "optimiser moments")
             if self.decoupled and self.weight_decay:
