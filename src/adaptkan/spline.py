@@ -283,7 +283,8 @@ def refit_greville(coef, a, b, new_a, new_b, omega: int, new_omega: int):
     Takes the arguments of :func:`refit_least_squares` and returns the new
     rows.  Old weights are treated as samples at the old Greville abscissae
     and re-read at the new ones; queries past the old range clamp to the
-    nearest old weight.  Much cheaper than the exact least-squares route.
+    nearest old weight.  Cheaper than the exact least-squares route on
+    small layers; it makes one ``np.interp`` call per weight row.
     """
     g_old, g_new = _greville(a, b, omega), _greville(new_a, new_b, new_omega)
     # np.interp takes one row at a time

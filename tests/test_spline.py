@@ -235,7 +235,8 @@ def _lsq(w, dom, new_dom):
     return W2[0].reshape(W.shape[:-1] + (new_dom.n_coef,)), float(err[0])
 
 
-def _greville(w, dom, new_dom):
+def _greville_refit(w, dom, new_dom):
+    """Rows (P,) or (m, P) of one feature refit from dom onto new_dom by Greville points."""
     W = np.asarray(w, dtype=float)
     W2 = refit_greville(W.reshape(1, -1, dom.n_coef), [dom.a], [dom.b], [new_dom.a],
                         [new_dom.b], dom.omega, new_dom.omega)
@@ -324,10 +325,10 @@ def test_refit_lsq_multiple_rows():
 def test_refit_greville_identity_and_constant():
     rng = np.random.default_rng(31)
     w = rng.standard_normal(DOM4.n_coef)
-    np.testing.assert_array_equal(_greville(w, DOM4, DOM4), w)
+    np.testing.assert_array_equal(_greville_refit(w, DOM4, DOM4), w)
     wc = np.full(DOM4.n_coef, 2.0)
     np.testing.assert_allclose(
-        _greville(wc, DOM4, GridDomain(-3.0, 5.0, 4, 3)), 2.0, atol=1e-14)
+        _greville_refit(wc, DOM4, GridDomain(-3.0, 5.0, 4, 3)), 2.0, atol=1e-14)
 
 
 def test_refit_greville_linear_shift():
@@ -337,7 +338,7 @@ def test_refit_greville_linear_shift():
     w = 2.0 * greville_abscissae(dom) + 1.0
     expected = 2.0 * np.clip(greville_abscissae(new_dom),
                              greville_abscissae(dom)[0], greville_abscissae(dom)[-1]) + 1.0
-    np.testing.assert_allclose(_greville(w, dom, new_dom), expected, atol=1e-12)
+    np.testing.assert_allclose(_greville_refit(w, dom, new_dom), expected, atol=1e-12)
 
 
 def test_refine_constant_preserved():
