@@ -24,7 +24,7 @@ from adaptkan import (
     simulate,
     train_clf,
 )
-from adaptkan.clf import lie_derivatives
+from adaptkan.clf import dynamics_f, lie_derivatives
 
 rng = np.random.default_rng(0)
 
@@ -33,7 +33,7 @@ x1 = np.linspace(-3, 3, 100_000)
 x1 = x1[np.abs(x1) > 1e-12]
 line = np.stack([x1, 2 * x1], axis=1)          # where the control vanishes
 _, grad = analytical_clf(line)
-LfV, LgV = lie_derivatives(line, grad)
+LfV, LgV = lie_derivatives(dynamics_f(line), grad)
 print("analytical candidate on the zero-control line x2 = 2 x1:")
 print(f"  max |LgV| = {np.abs(LgV).max():.1e}   max LfV = {LfV.max():.3e}  (< 0)")
 

@@ -20,7 +20,7 @@ rng = np.random.default_rng(0)
 
 # A grid domain is an interval split into uniform sub-intervals; a spline
 # activation on it carries omega + k weights.
-dom = GridDomain(-1.0, 1.0, omega=5, k=3)
+dom = GridDomain(-1.0, 1.0, omega=5)
 print(f"domain [{dom.a}, {dom.b}] with {dom.omega} intervals of width {dom.d}")
 print(f"weights per activation: {dom.n_coef}")
 
@@ -31,7 +31,7 @@ print("\nconstant weights 2.5 evaluated on", z)
 print(" ->", eval_activation(z, w_const, dom))
 
 # Weights sampled from a line at the Greville points reproduce that line.
-g = greville_abscissae(dom)
+g = greville_abscissae(dom.a, dom.b, dom.omega)
 print("\nGreville abscissae:", g)
 w_line = 3.0 * g - 0.5
 print("line 3z - 0.5 at z=0.37:", eval_activation(0.37, w_line, dom))
@@ -51,7 +51,7 @@ print("\nbasis window at 0.37:", np.round(grad_w, 4), "sum:", grad_w.sum())
 # count, so resolution drops and random wiggly splines cannot be carried
 # over exactly (lines and constants can).
 w_rand = rng.standard_normal(dom.n_coef)
-wide = GridDomain(-2.0, 2.0, omega=5, k=3)
+wide = GridDomain(-2.0, 2.0, omega=5)
 rows = w_rand[None, None]  # one feature, one output
 bounds = ([dom.a], [dom.b], [wide.a], [wide.b], dom.omega, wide.omega)
 w_exact, max_err = refit_least_squares(rows, *bounds)
@@ -66,7 +66,7 @@ print("  exact-refit max residual on fit grid:", f"{max_err[0]:.2e}")
 
 # Refinement keeps the domain but adds resolution.
 w_fine = refine_grid(rows, [dom.a], [dom.b], dom.omega, 40)[0][0, 0]
-dom_fine = GridDomain(dom.a, dom.b, omega=40, k=3)
+dom_fine = GridDomain(dom.a, dom.b, omega=40)
 err = np.abs(eval_activation(probe, w_fine, dom_fine)
              - eval_activation(probe, w_rand, dom)).max()
 print(f"\nrefined 5 -> 40 intervals; function change at probes: {err:.2e}")

@@ -39,7 +39,6 @@ from .optim import Adam, Round, TrainPlan, lr_at, train
 from .spline import (
     GridDomain,
     activation_dz,
-    basis_matrix,
     eval_activation,
     greville_abscissae,
     refine_grid,

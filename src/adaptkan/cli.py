@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -70,6 +70,11 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
+def _given_fields(cls, cfg: dict) -> dict:
+    """The entries of ``cfg`` that name fields of the dataclass ``cls``."""
+    return {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
+
+
 def _build_net(cfg: dict, shape, seed: int):
     init = cfg.get("init", {})
     if not isinstance(init, dict):
@@ -100,15 +105,8 @@ def cmd_train(args) -> int:
     if shape[0] != task.arity:
         raise ConfigError(f"shape input width {shape[0]} != task arity {task.arity}")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    plan = TrainPlan(
-        rounds=_require(cfg, "rounds"),
-        optimizer=cfg.get("optimizer", "adam"),
-        weight_decay=cfg.get("weight_decay", 0.0),
-        poly_decay=cfg.get("poly_decay", True),
-        batch_size=cfg.get("batch_size", 128),
-        seed=seed,
-        sparsity_lambda=cfg.get("sparsity_lambda", 0.0),
-    )
+    _require(cfg, "rounds")
+    plan = TrainPlan(**{**_given_fields(TrainPlan, cfg), "seed": seed})
     (X_tr, y_tr), (X_te, y_te) = generate(task, seed=seed)
     net = _build_net(cfg, shape, seed)
     history = train(net, (X_tr, y_tr, X_te, y_te), plan)
@@ -168,18 +166,12 @@ def cmd_ood_auroc(args) -> int:
 # clf
 # ----------------------------------------------------------------------
 
-def _clf_loss_config(cfg: dict) -> ClfLossConfig:
-    keys = ("lam_origin", "lam_f", "lam_g", "lam_bowl", "lam_pos",
-            "tau", "k1", "k2", "eps", "output_mode")
-    return ClfLossConfig(**{k: cfg[k] for k in keys if k in cfg})
-
-
 def cmd_clf_train(args) -> int:
     cfg = _load_config(args.config)
     shape = _require(cfg, "shape")
     epochs = _require(cfg, "epochs")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    loss_cfg = _clf_loss_config(cfg)
+    loss_cfg = ClfLossConfig(**_given_fields(ClfLossConfig, cfg))
     bounds = cfg.get("bounds", (-3.0, 3.0))
     rng = np.random.default_rng(seed)
     X_tr = rng.uniform(bounds[0], bounds[1], size=(cfg.get("train_n", 8000), shape[0]))

@@ -35,12 +35,17 @@ PROB_FLOOR = 1e-12
 
 def histogram_bin(x, a, b, omega: int):
     """Bin of x among ``omega`` uniform bins over [a, b]: (x - a) * (omega /
-    (b - a)) truncated to an integer and clamped to [0, omega - 1], so b
-    lands in the last bin.  ``a``/``b`` may be (n,) arrays, one domain per
-    feature along the last axis of x; x must be finite.
+    (b - a)) clamped to [0, omega - 1] and truncated to an integer, so b
+    lands in the last bin and values far outside [a, b] (+-inf too) in the
+    edge bins.  ``a``/``b`` may be (n,) arrays, one domain per feature along
+    the last axis of x; x must not be NaN.
     """
-    idx = ((np.asarray(x, dtype=float) - a) * (omega / (b - a))).astype(np.int64)
-    return np.clip(idx, 0, omega - 1)
+    # clamped before the integer cast, which would overflow for large |u|;
+    # in place, on an array even when x is a scalar
+    u = np.asarray((np.asarray(x, dtype=float) - a) * (omega / (b - a)))
+    np.maximum(u, 0.0, out=u)
+    np.minimum(u, omega - 1, out=u)
+    return u.astype(np.int64)
 
 
 def floored_prob(x, counts, a, b) -> np.ndarray:
@@ -122,12 +127,7 @@ class FeatureHistogram:
         Z = np.asarray(batch, dtype=float)
         omega = self.omega
         below, above = Z < self.a, Z > self.b
-        # histogram_bin inlined, clamped before the integer cast so that
-        # values far outside [a, b] cannot overflow it
-        u = (Z - self.a) * (omega / (self.b - self.a))
-        np.maximum(u, 0.0, out=u)
-        np.minimum(u, omega - 1, out=u)
-        col = u.astype(np.int64)
+        col = histogram_bin(Z, self.a, self.b, omega)
         col[below] = -1
         col[above] = omega
         col += (omega + 2) * np.arange(self.a.size) + 1
@@ -139,7 +139,8 @@ class FeatureHistogram:
 
         Counts each feature's values below a / in each bin / above b, updates
         the running extremes, and applies counts <- (1-alpha)*counts +
-        alpha*batch_counts to the bins and both tallies alike.
+        alpha*batch_counts to the bins and both tallies alike.  A non-finite
+        batch raises ValueError before any state changes.
         """
         Z = np.asarray(batch, dtype=float)
         if not np.isfinite(Z).all():

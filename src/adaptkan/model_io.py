@@ -7,6 +7,7 @@ and re-loaded network reproduces forward outputs exactly.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -42,9 +43,11 @@ def _layer_to_dict(layer: AdaptKanLayer) -> dict:
 
 def _layer_hist(features) -> FeatureHistogram:
     """A layer's histogram from its per-feature JSON objects."""
-    doms = [GridDomain(**f["domain"]) for f in features]
+    domains = [dict(f["domain"]) for f in features]
+    degrees = {d.pop("k", 3) for d in domains}  # files record the degree; only 3 runs
+    doms = [GridDomain(**d) for d in domains]
     hists = [f["hist"] for f in features]
-    if not doms or {(dom.omega, dom.k) for dom in doms} != {(doms[0].omega, 3)}:
+    if not doms or degrees != {3} or {dom.omega for dom in doms} != {doms[0].omega}:
         raise ValueError("a layer needs one or more cubic (k = 3) features, all with one omega")
     if {len(h["ood_hist"]) for h in hists} != {2}:
         raise ValueError("every feature needs two out-of-domain tallies")
@@ -71,18 +74,10 @@ def _layer_from_dict(d) -> AdaptKanLayer:
 
 def save_model(net: AdaptKanNet, path, meta: dict | None = None) -> None:
     """Write the full network state (weights, domains, histograms) as JSON."""
-    cfg = net.cfg
     doc = {
         "format_version": FORMAT_VERSION,
         "shape": net.shape,
-        "adapt": {
-            "alpha": cfg.alpha,
-            "prune_patience": cfg.prune_patience,
-            "stretch_mode": cfg.stretch_mode,
-            "shrink_rule": cfg.shrink_rule,
-            "refit_mode": cfg.refit_mode,
-            "outlier_count": cfg.outlier_count,
-        },
+        "adapt": asdict(net.cfg),
         "layers": [_layer_to_dict(ly) for ly in net.layers],
         "meta": meta or {},
     }

@@ -278,9 +278,10 @@ class AdaptKanNet:
         """Update layer li's histogram with its inputs, then adapt the
         features whose decision fires."""
         layer = self.layers[li]
-        if not np.isfinite(Z).all():
-            raise NonFiniteError(li, "inputs")
-        layer.hist.update(Z)
+        try:
+            layer.hist.update(Z)
+        except ValueError:  # the update's own check: a non-finite batch
+            raise NonFiniteError(li, "inputs") from None
         decisions = decide(layer.hist, self.cfg)
         if any(d.kind != "none" for d in decisions.values()):
             layer.coef[...], layer.hist, events = apply_adapt(layer.hist, layer.coef,
@@ -503,7 +504,7 @@ def init_network(shape, mode: str = "kan", noise: float = 0.5, seed: int = 0,
             w_b = np.ones((n, m))
             use_base = True
         else:
-            g = greville_abscissae(dom)
+            g = greville_abscissae(dom.a, dom.b, omega)
             slopes = (np.full((n, m), float(slope)) if slope is not None
                       else rng.standard_normal((n, m)))
             coef = slopes[:, :, None] * g + noise * rng.standard_normal((n, m, P))

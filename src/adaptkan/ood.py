@@ -18,7 +18,6 @@ import numpy as np
 from .histogram import floored_prob, histogram_bin
 
 DEFAULT_BINS_HIST = 200      # histogram-only scoring
-DEFAULT_BINS_HIST_MSP = 50   # histogram + max-softmax fusion
 DEFAULT_MSP_LAMBDA = 0.1
 
 
@@ -36,12 +35,15 @@ class OodScorer:
         self.bounds_from_data = bounds_from_data
         if self.counts.ndim != 2:
             raise ValueError("counts must be (n_features, n_bins)")
+        if not (np.isfinite(self.counts).all() and (self.counts >= 0.0).all()):
+            raise ValueError("counts must be finite and non-negative")
         if np.any(self.counts.sum(axis=1) <= 0):
             raise ValueError("every feature histogram needs positive total count")
         if self.lo.shape != (self.n_features,) or self.hi.shape != (self.n_features,):
             raise ValueError(f"lo and hi need one bound per feature ({self.n_features})")
-        if not np.all(self.lo < self.hi):
-            raise ValueError("every feature needs lo < hi")
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()
+                and np.all(self.lo < self.hi)):
+            raise ValueError("every feature needs finite lo < hi")
 
     def save(self, path) -> None:
         """Write the scorer as JSON; :meth:`load` reads it back bitwise."""

@@ -1,12 +1,13 @@
 """Uniform cubic B-spline activations in closed (non-recursive) matrix form.
 
-Each activation is a degree-k uniform B-spline over a grid domain [a, b]
-split into ``omega`` equal intervals.  An input z is mapped to a bin index
-and a local coordinate theta in [0, 1]; the value is then
+Each activation is a uniform cubic B-spline over a grid domain [a, b] split
+into ``omega`` equal intervals, with P = omega + 3 weights.  An input z is
+mapped to a bin index p and a local coordinate theta in [0, 1]; the value is
+then
 
-    phi(z) = [w_p, ..., w_{p+k}] @ M @ [theta^k, ..., theta, 1]^T
+    phi(z) = [w_p, ..., w_{p+3}] @ M_CUBIC @ [theta^3, theta^2, theta, 1]^T
 
-with a fixed (k+1)x(k+1) coefficient matrix M.  The same window/matrix form
+with a fixed 4x4 coefficient matrix.  The same window/matrix form
 is used across the whole domain (no special edge segments), which makes
 indexing into histogram bins and weight vectors trivial.  Outside [a, b]
 the local coordinate is clamped, so the function extends as a constant.
@@ -18,8 +19,6 @@ below is the n = 1 case, and the network layers use the same two routines.
 The refits (:func:`refit_least_squares`, :func:`refit_greville`,
 :func:`refine_grid`) move the weight rows of a layer's features to new
 domains in one call.
-
-Only k=3 is supported; the matrix for other degrees is not provided.
 """
 
 from __future__ import annotations
@@ -41,21 +40,13 @@ M_CUBIC = np.array(
 ) / 12.0
 
 
-def basis_matrix(k: int) -> np.ndarray:
-    """Return the segment coefficient matrix for degree k (k=3 only)."""
-    if k != 3:
-        raise NotImplementedError(f"only cubic splines (k=3) are supported, got k={k}")
-    return M_CUBIC
-
-
 @dataclass(frozen=True)
 class GridDomain:
-    """Interval [a, b] with ``omega`` uniform sub-intervals for a degree-k spline."""
+    """Interval [a, b] with ``omega`` uniform sub-intervals for a cubic spline."""
 
     a: float
     b: float
     omega: int
-    k: int = 3
 
     def __post_init__(self):
         if not np.isfinite(self.a) or not np.isfinite(self.b):
@@ -64,8 +55,6 @@ class GridDomain:
             raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
         if self.omega < 1:
             raise ValueError(f"need omega >= 1, got {self.omega}")
-        if self.k < 1:
-            raise ValueError(f"need k >= 1, got {self.k}")
 
     @property
     def d(self) -> float:
@@ -75,13 +64,7 @@ class GridDomain:
     @property
     def n_coef(self) -> int:
         """Number of weights per activation on this domain."""
-        return self.omega + self.k
-
-    def edges(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, self.omega + 1)
-
-    def centers(self) -> np.ndarray:
-        return self.a + (np.arange(self.omega) + 0.5) * self.d
+        return self.omega + 3
 
 
 def _d_theta(mat: np.ndarray) -> np.ndarray:
@@ -177,7 +160,6 @@ def _design_matrix(z, a, d, omega: int, order: int = 0) -> np.ndarray:
 
 def _contract(z, w_row, dom: GridDomain, order: int):
     """Order-th z derivative of the spline(s) with weights w_row (P,) or (m, P)."""
-    basis_matrix(dom.k)  # raises for the degrees basis() does not cover
     w_row = np.asarray(w_row, dtype=float)
     if w_row.shape[-1] != dom.n_coef:
         raise ValueError(f"expected {dom.n_coef} weights, got {w_row.shape[-1]}")
@@ -201,21 +183,15 @@ def activation_dz(z, w_row, dom: GridDomain):
     return _contract(z, w_row, dom, 1)
 
 
-def greville_abscissae(dom: GridDomain) -> np.ndarray:
+def greville_abscissae(a, b, omega: int) -> np.ndarray:
     """Knot-average points where spline weights act like function samples.
 
-    Knots extend uniformly beyond [a, b]; point i is the mean of the k
-    interior knots t_{i+1}..t_{i+k}, which for uniform spacing collapses to
-    a + (i - (k-1)/2) * d.  There are omega + k points, spaced by d.
+    Knots extend uniformly beyond [a, b]; point i is the mean of the three
+    interior knots t_{i+1}..t_{i+3}, which for uniform spacing d = (b - a) /
+    omega collapses to a + (i - 1) * d.  Scalar bounds give the omega + 3
+    points (omega+3,); bounds (J,) give one row per domain, (J, omega+3).
     """
-    i = np.arange(dom.n_coef)
-    return dom.a + (i - (dom.k - 1) / 2.0) * dom.d
-
-
-def _greville(a, b, omega: int) -> np.ndarray:
-    """Cubic Greville abscissae (J, omega+3) of the domains [a, b] (J,), as
-    :func:`greville_abscissae` gives them for one domain."""
-    a, b = np.asarray(a, dtype=float)[:, None], np.asarray(b, dtype=float)[:, None]
+    a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
     return a + (np.arange(omega + 3) - 1.0) * ((b - a) / omega)
 
 
@@ -286,7 +262,7 @@ def refit_greville(coef, a, b, new_a, new_b, omega: int, new_omega: int):
     nearest old weight.  Cheaper than the exact least-squares route on
     small layers; it makes one ``np.interp`` call per weight row.
     """
-    g_old, g_new = _greville(a, b, omega), _greville(new_a, new_b, new_omega)
+    g_old, g_new = greville_abscissae(a, b, omega), greville_abscissae(new_a, new_b, new_omega)
     # np.interp takes one row at a time
     return np.array([[np.interp(gn, go, row) for row in rows]
                      for gn, go, rows in zip(g_new, g_old, coef)])

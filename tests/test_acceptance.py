@@ -37,7 +37,7 @@ def test_criterion_01_spline_correctness():
     pou_worst = 0.0
     for _ in range(100):
         a = rng.uniform(-5, 2)
-        dom = GridDomain(a, a + rng.uniform(0.2, 7.0), int(rng.integers(1, 16)), 3)
+        dom = GridDomain(a, a + rng.uniform(0.2, 7.0), int(rng.integers(1, 16)))
         c = rng.uniform(-5, 5)
         z = rng.uniform(dom.a, dom.b, size=100)
         w = np.full(dom.n_coef, c)
@@ -45,7 +45,7 @@ def test_criterion_01_spline_correctness():
     cont_worst = 0.0
     for _ in range(50):
         a = rng.uniform(-3, 1)
-        dom = GridDomain(a, a + rng.uniform(0.5, 4.0), int(rng.integers(2, 10)), 3)
+        dom = GridDomain(a, a + rng.uniform(0.5, 4.0), int(rng.integers(2, 10)))
         w = rng.standard_normal(dom.n_coef)
         for p in range(1, dom.omega):
             left = w[p - 1:p + 3] @ M_CUBIC @ np.ones(4)
@@ -53,9 +53,9 @@ def test_criterion_01_spline_correctness():
     lin_worst = 0.0
     for _ in range(50):
         a = rng.uniform(-3, 1)
-        dom = GridDomain(a, a + rng.uniform(0.5, 4.0), int(rng.integers(1, 12)), 3)
+        dom = GridDomain(a, a + rng.uniform(0.5, 4.0), int(rng.integers(1, 12)))
         slope, icept = rng.uniform(-3, 3, size=2)
-        w = slope * greville_abscissae(dom) + icept
+        w = slope * greville_abscissae(dom.a, dom.b, dom.omega) + icept
         z = np.linspace(dom.a, dom.b, 200)
         lin_worst = max(lin_worst, np.abs(eval_activation(z, w, dom) - (slope * z + icept)).max())
     elapsed = time.monotonic() - start

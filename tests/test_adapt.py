@@ -22,7 +22,7 @@ from adaptkan.network import init_network
 from adaptkan.spline import GridDomain, eval_activation
 from adaptkan.tasks import PoisonPlan, poison_hook
 
-DOM4 = GridDomain(0.0, 1.0, 4, 3)
+DOM4 = GridDomain(0.0, 1.0, 4)
 
 
 def make_hist(dom, hist=None, ood=(0.0, 0.0), ood_a=None, ood_b=None, alpha=0.5):
@@ -228,11 +228,11 @@ def test_decide_shrink_bounds_lie_on_bin_edges():
     cfg = AdaptConfig(alpha=0.05, prune_patience=2)
     for _ in range(50):
         omega = int(rng.integers(2, 12))
-        dom = GridDomain(-1.0, 1.0, omega, 3)
+        dom = GridDomain(-1.0, 1.0, omega)
         h = make_hist(dom, rng.uniform(0, 0.01, size=omega) ** 2, alpha=0.05)
         d = decide1(h, cfg)
         if d.kind == "shrink":
-            edges = dom.edges()
+            edges = np.linspace(dom.a, dom.b, dom.omega + 1)
             assert any(np.isclose(d.a, e) for e in edges)
             assert any(np.isclose(d.b, e) for e in edges)
             assert dom.a <= d.a < d.b <= dom.b

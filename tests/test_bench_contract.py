@@ -8,6 +8,7 @@ conditions in well under a second, without running the benchmark.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +17,12 @@ import adaptkan
 from adaptkan import adapt, cli, network, spline
 from adaptkan.tasks import write_table
 
-_TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER_PATH)
+def _load(script: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{script}",
+                                                  _PERFBENCH / f"{script}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -28,7 +30,7 @@ def _load_tracer():
 
 def test_tracer_finds_and_wraps_every_target(tmp_path):
     assert adaptkan.__version__  # every adaptkan module is loaded
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     features = tmp_path / "f.csv"
     write_table(features, ["f0", "f1"], np.random.default_rng(0).normal(size=(50, 2)))
     argv = ["ood", "fit", "--features", str(features), "--out", str(tmp_path / "s.json")]
@@ -65,7 +67,7 @@ def test_training_spans_are_traced_once_per_layer():
     net = adaptkan.init_network([2, 3, 1], seed=0)
     plan = TrainPlan(rounds=[{"lr": 1e-2, "steps": 15, "omega": 3},
                              {"lr": 1e-2, "steps": 15, "omega": 5}], batch_size=32, seed=0)
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     t = tracer.Tracer()
     t.install()
     try:
@@ -94,7 +96,7 @@ def test_clf_training_spans_are_traced_once_per_step():
     X = np.random.default_rng(0).uniform(-3.0, 3.0, (100, 2))
     net = adaptkan.init_network([2, 4, 2], mode="linear", noise=0.1, seed=0,
                                 domain=(-3.0, 3.0))
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     t = tracer.Tracer()
     t.install()
     try:
@@ -107,3 +109,18 @@ def test_clf_training_spans_are_traced_once_per_step():
     assert calls["clf.train_clf"] == 1
     assert calls["histogram.update"] == calls["adapt.decide"] == len(net.layers) * steps
     assert calls["optim.Adam.step"] == calls["clf.clf_loss_and_grads"] == steps
+
+
+def test_crosscheck_script_runs(monkeypatch):
+    # perfbench/crosscheck.py times a training step and a network-controlled
+    # simulation through the public API; one step of each keeps its calls
+    # working.  It imports perfbench/workloads.py and pins the BLAS threads.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # restored when the test ends
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    try:
+        crosscheck = _load("crosscheck")
+        assert crosscheck.step_ms([2, 5, 1], steps=1) > 0.0
+        assert crosscheck.simulate_s(trajectories=4, steps=1) > 0.0
+    finally:
+        sys.modules.pop("workloads", None)

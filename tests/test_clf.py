@@ -23,13 +23,13 @@ from adaptkan.clf import (
 )
 from adaptkan.network import NonFiniteError, init_network
 from adaptkan.optim import TrainPlan, train
-from adaptkan.spline import GridDomain, greville_abscissae
+from adaptkan.spline import greville_abscissae
 
 
 def test_analytical_clf_values():
     V, grad = analytical_clf(np.array([[0.0, 0.0], [1.0, 2.0]]))
     assert V[0] == 0.0
-    LfV, LgV = lie_derivatives(np.array([[1.0, 2.0]]), grad[1:])
+    LfV, LgV = lie_derivatives(dynamics_f([[1.0, 2.0]]), grad[1:])
     assert LgV[0] == 0.0
     assert LfV[0] == -3.0
 
@@ -48,7 +48,7 @@ def test_lgv_zero_line_has_negative_drift():
     x1 = x1[np.abs(x1) > 1e-12]
     X = np.stack([x1, 2 * x1], axis=1)
     V, grad = analytical_clf(X)
-    LfV, LgV = lie_derivatives(X, grad)
+    LfV, LgV = lie_derivatives(dynamics_f(X), grad)
     np.testing.assert_allclose(LgV, 0.0, atol=1e-12)
     assert (LfV < 0).all()
     np.testing.assert_allclose(LfV, -3 * x1**4, rtol=1e-12)
@@ -117,8 +117,23 @@ def test_origin_is_fixed_point():
     assert ok.all()
 
 
+def test_drift_is_evaluated_once_per_rk4_stage(monkeypatch):
+    # the controller reads the drift its stage already computed
+    import adaptkan.clf
+
+    calls = []
+
+    def counted(X):
+        calls.append(len(X))
+        return dynamics_f(X)
+
+    monkeypatch.setattr(adaptkan.clf, "dynamics_f", counted)
+    simulate(np.ones((5, 2)), make_sontag_controller(analytical_clf), horizon=0.03, dt=0.01)
+    assert calls == [5] * 4 * 3
+
+
 def test_nonfinite_trajectory_is_flagged():
-    def exploding(X):
+    def exploding(X, f):
         return np.full(len(X), 1e155)
 
     fin, ok = simulate(np.array([[1.0, 1.0]]), exploding, horizon=0.1, dt=0.01)
@@ -206,7 +221,7 @@ def test_lyapunov_identity_net_squared_norm():
     # a 2 -> 2 identity network gives V = |x|^2 / 2 and grad = x
     net = init_network([2, 2], mode="linear", noise=0.0, slope=0.0, seed=0)
     hist = net.layers[0].hist
-    g = greville_abscissae(GridDomain(hist.a[0], hist.b[0], hist.omega))
+    g = greville_abscissae(hist.a[0], hist.b[0], hist.omega)
     for j in range(2):
         net.layers[0].coef[j, j, :] = g
     X = np.array([[0.3, -0.5], [0.8, 0.1]])

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, persistence, and determinism."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -483,8 +484,25 @@ def _scorer_empty_range(doc):
     return doc
 
 
+def _scorer_nan_counts(doc):
+    doc["counts"][0][0] = math.nan
+    return doc
+
+
+def _scorer_negative_counts(doc):
+    doc["counts"][0][:2] = [-1.0, 2.0]
+    return doc
+
+
+def _scorer_infinite_lo(doc):
+    doc["lo"][0] = -math.inf
+    return doc
+
+
 @pytest.mark.parametrize("corrupt", [_scorer_is_a_list, _scorer_without_counts,
-                                     _scorer_lo_not_a_list, _scorer_empty_range])
+                                     _scorer_lo_not_a_list, _scorer_empty_range,
+                                     _scorer_nan_counts, _scorer_negative_counts,
+                                     _scorer_infinite_lo])
 def test_ood_score_on_malformed_scorer_json_exits_2(tmp_path, capsys, corrupt):
     fit = tmp_path / "fit.csv"
     write_features(fit, np.random.default_rng(11).normal(size=(100, 2)))

@@ -4,11 +4,12 @@ Single features are n = 1 layers: ``one`` builds one from its bin and tally
 counts, and ``marginal_prob`` reads it through ``floored_prob``.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from adaptkan.histogram import PROB_FLOOR, FeatureHistogram, floored_prob, histogram_bin
-from adaptkan.spline import GridDomain
 
 DOM2 = (0.0, 1.0, 2)
 DOM4 = (0.0, 1.0, 4)
@@ -204,7 +205,8 @@ def test_marginal_prob_examples():
 def test_marginal_prob_sums_to_at_most_one():
     rng = np.random.default_rng(1)
     h = one((-2.0, 2.0, 25), alpha=1.0, hist=rng.uniform(0, 5, size=25))
-    reps = GridDomain(-2.0, 2.0, 25).centers()
+    edges = np.linspace(-2.0, 2.0, 26)
+    reps = (edges[:-1] + edges[1:]) / 2.0
     total_prob = sum(marginal_prob(h, x) for x in reps)
     assert total_prob <= 1.0 + 25 * PROB_FLOOR
 
@@ -231,12 +233,11 @@ def test_marginal_prob_rejects_nan_and_floors_infinities():
 
 
 def test_create_histogram_counts_with_histogram_bin():
-    # FeatureHistogram.batch_counts inlines the rule; every knot of several
-    # grids, and one ulp either side of each, must land in the same bin
-    # every way
+    # every knot of several grids, and one ulp either side of each, must
+    # land in the same bin every way
     for dom in (DOM4, (-2.5, 1.3, 50), (0.1, 0.7, 7)):
         a, b, omega = dom
-        edges = GridDomain(*dom).edges()
+        edges = np.linspace(a, b, omega + 1)
         x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
         inside = x[(x >= a) & (x <= b)]
         expected = np.bincount(histogram_bin(inside, a, b, omega), minlength=omega)
@@ -245,6 +246,27 @@ def test_create_histogram_counts_with_histogram_bin():
         h.update(x[:, None])
         np.testing.assert_array_equal(h.hist[0], expected)
         np.testing.assert_array_equal(h.ood_hist[0], [(x < a).sum(), (x > b).sum()])
+
+
+def test_histogram_bin_clamps_far_values_without_warning():
+    # clamped before the integer cast: values far outside [a, b] land in the
+    # edge bins instead of wrapping around with an "invalid value" warning,
+    # and in-domain values keep the bins batch_counts gives them one by one
+    for dom in (DOM4, (-2.5, 1.3, 50), (0.1, 0.7, 7)):
+        a, b, omega = dom
+        knots = np.linspace(a, b, omega + 1)
+        near = np.concatenate([knots, np.nextafter(knots, -np.inf),
+                               np.nextafter(knots, np.inf)])
+        near = near[(near >= a) & (near <= b)]
+        far = np.array([-1e300, 1e300, -5e18, 5e18, -np.inf, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(histogram_bin(far, a, b, omega),
+                                          [0, omega - 1] * 3)
+            bins = histogram_bin(near, a, b, omega)
+            assert histogram_bin(near[0], a, b, omega) == bins[0]  # a scalar query
+        for x, j in zip(near, bins):
+            assert np.flatnonzero(batch_counts([x], dom)).tolist() == [j + 1]
 
 
 def test_update_alpha_one_idempotent_with_create():

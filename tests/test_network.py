@@ -397,3 +397,15 @@ def test_save_load_save_is_byte_identical(tmp_path):
     save_model(net, first)
     save_model(load_model(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_saved_adapt_block_is_the_config(tmp_path):
+    import json
+    from dataclasses import asdict
+
+    from adaptkan.model_io import save_model
+    cfg = AdaptConfig(alpha=0.25, prune_patience=3, stretch_mode="edge", shrink_rule="relative",
+                      refit_mode="greville", outlier_count=2)
+    save_model(init_network([2, 1], cfg=cfg), tmp_path / "m.json")
+    adapt = json.loads((tmp_path / "m.json").read_text())["adapt"]
+    assert adapt == asdict(cfg) and list(adapt) == list(asdict(cfg))

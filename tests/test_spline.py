@@ -8,7 +8,6 @@ from adaptkan.spline import (
     M_CUBIC,
     activation_dz,
     basis,
-    basis_matrix,
     dense_basis,
     eval_activation,
     greville_abscissae,
@@ -19,27 +18,21 @@ from adaptkan.spline import (
 )
 from adaptkan.spline import _lsq_factor
 
-DOM4 = GridDomain(0.0, 1.0, 4, 3)
+DOM4 = GridDomain(0.0, 1.0, 4)
 
 
 def random_domain(rng):
     a = rng.uniform(-5.0, 2.0)
     b = a + rng.uniform(0.1, 8.0)
-    return GridDomain(a, b, int(rng.integers(1, 12)), 3)
+    return GridDomain(a, b, int(rng.integers(1, 12)))
 
 
 def test_basis_matrix_columns():
     # every column sums to zero except the last, which sums to one
     sums = M_CUBIC.sum(axis=0)
     np.testing.assert_allclose(sums, [0.0, 0.0, 0.0, 1.0], atol=1e-15)
-    assert basis_matrix(3) is M_CUBIC
     expected = np.array([[-2, 6, -6, 2], [6, -12, 0, 8], [-6, 6, 6, 2], [2, 0, 0, 0]]) / 12
     np.testing.assert_array_equal(M_CUBIC, expected)
-
-
-def test_basis_matrix_rejects_other_degrees():
-    with pytest.raises(NotImplementedError):
-        basis_matrix(2)
 
 
 def test_domain_validation():
@@ -96,7 +89,7 @@ def test_linear_reproduction_at_greville():
     for _ in range(20):
         dom = random_domain(rng)
         slope, icept = rng.uniform(-3, 3, size=2)
-        w = slope * greville_abscissae(dom) + icept
+        w = slope * greville_abscissae(dom.a, dom.b, dom.omega) + icept
         z = np.linspace(dom.a, dom.b, 400)
         err = np.abs(eval_activation(z, w, dom) - (slope * z + icept)).max()
         assert err <= 1e-9
@@ -138,8 +131,8 @@ def test_dz_constant_is_zero():
 
 
 def test_dz_linear_weights():
-    dom = GridDomain(-1.0, 1.0, 5, 3)
-    w = 2.0 * greville_abscissae(dom)
+    dom = GridDomain(-1.0, 1.0, 5)
+    w = 2.0 * greville_abscissae(dom.a, dom.b, dom.omega)
     z = np.linspace(-0.95, 0.95, 41)
     fd = (eval_activation(z + 1e-6, w, dom) - eval_activation(z - 1e-6, w, dom)) / 2e-6
     np.testing.assert_allclose(activation_dz(z, w, dom), 2.0, atol=1e-9)
@@ -192,7 +185,7 @@ def test_dw_at_knot_is_last_matrix_column():
 
 def test_dw_matches_finite_difference():
     rng = np.random.default_rng(17)
-    dom = GridDomain(-2.0, 3.0, 6, 3)
+    dom = GridDomain(-2.0, 3.0, 6)
     w = rng.standard_normal(dom.n_coef)
     z = float(rng.uniform(dom.a, dom.b))
     grad = weight_grad(z, dom)[0]
@@ -206,9 +199,9 @@ def test_dw_matches_finite_difference():
 
 
 def test_greville_examples():
-    np.testing.assert_allclose(greville_abscissae(GridDomain(0, 1, 2, 3)),
+    np.testing.assert_allclose(greville_abscissae(0, 1, 2),
                                [-0.5, 0.0, 0.5, 1.0, 1.5], atol=1e-15)
-    g = greville_abscissae(DOM4)
+    g = greville_abscissae(DOM4.a, DOM4.b, DOM4.omega)
     assert len(g) == 7
     np.testing.assert_allclose(g + g[::-1], 1.0, atol=1e-15)  # symmetric about 0.5
 
@@ -217,9 +210,20 @@ def test_greville_spacing():
     rng = np.random.default_rng(19)
     for _ in range(10):
         dom = random_domain(rng)
-        g = greville_abscissae(dom)
+        g = greville_abscissae(dom.a, dom.b, dom.omega)
         assert len(g) == dom.n_coef
         np.testing.assert_allclose(np.diff(g), dom.d, rtol=1e-12)
+
+
+def test_greville_rows_match_single_domains():
+    # the (J,) form that the refits use gives each domain's points bitwise
+    rng = np.random.default_rng(23)
+    doms = [random_domain(rng) for _ in range(20)]
+    for omega in (1, 4, 11):
+        rows = greville_abscissae([d.a for d in doms], [d.b for d in doms], omega)
+        assert rows.shape == (20, omega + 3)
+        for d, row in zip(doms, rows):
+            np.testing.assert_array_equal(row, greville_abscissae(d.a, d.b, omega))
 
 
 def _dense_err(w_new, dom_new, w_old, dom_old, lo, hi, n=500):
@@ -247,20 +251,20 @@ def _refine(w, dom, new_omega):
     """Rows (P,) of one feature refined onto new_omega: (rows, new domain, residual)."""
     W2, err = refine_grid(np.asarray(w, dtype=float)[None, None], [dom.a], [dom.b], dom.omega,
                           new_omega)
-    return W2[0, 0], GridDomain(dom.a, dom.b, new_omega, 3), float(err[0])
+    return W2[0, 0], GridDomain(dom.a, dom.b, new_omega), float(err[0])
 
 
 def test_refit_lsq_constant():
     w = np.full(DOM4.n_coef, 1.5)
-    new_dom = GridDomain(-2.0, 4.0, 4, 3)
+    new_dom = GridDomain(-2.0, 4.0, 4)
     w2, _ = _lsq(w, DOM4, new_dom)
     assert _dense_err(w2, new_dom, w, DOM4, -2.0, 4.0) <= 1e-10
 
 
 def test_refit_lsq_linear_stretch_overlap():
-    dom = GridDomain(0.0, 1.0, 5, 3)
-    w = 3.0 * greville_abscissae(dom) - 1.0
-    new_dom = GridDomain(-1.0, 2.0, 5, 3)
+    dom = GridDomain(0.0, 1.0, 5)
+    w = 3.0 * greville_abscissae(dom.a, dom.b, dom.omega) - 1.0
+    new_dom = GridDomain(-1.0, 2.0, 5)
     w2, _ = _lsq(w, dom, new_dom)
     z = np.linspace(0.0, 1.0, 400)
     err = np.abs(eval_activation(z, w2, new_dom) - (3.0 * z - 1.0)).max()
@@ -278,7 +282,7 @@ def test_refit_lsq_stretch_keeps_the_weight_scale():
 def test_refit_lsq_covers_new_inputs_by_the_linear_rule():
     # f(clip(z)) + f'(clip(z)) (z - clip(z)) on the newly covered inputs, to
     # within the residual the refit reports on its samples
-    dom, new_dom = GridDomain(-1.0, 1.0, 10, 3), GridDomain(-1.5, 1.5, 10, 3)
+    dom, new_dom = GridDomain(-1.0, 1.0, 10), GridDomain(-1.5, 1.5, 10)
     W = np.random.default_rng(0).standard_normal((3, dom.n_coef))
     W2, max_err = refit_least_squares(W[None], [dom.a], [dom.b], [new_dom.a], [new_dom.b],
                                       dom.omega, new_dom.omega)
@@ -295,10 +299,10 @@ def test_refit_lsq_covers_new_inputs_by_the_linear_rule():
 def test_refit_lsq_linear_spline_stays_linear_past_b():
     # (b - a) / d rounds above omega on this domain, so a derivative window
     # read at b is zero; the edge slope must come from the last segment
-    dom = GridDomain(-3.0, 0.21, 50, 3)
+    dom = GridDomain(-3.0, 0.21, 50)
     assert (dom.b - dom.a) / dom.d > dom.omega
-    w = 2.0 * greville_abscissae(dom) - 1.0
-    new_dom = GridDomain(-3.0, 1.5, 50, 3)
+    w = 2.0 * greville_abscissae(dom.a, dom.b, dom.omega) - 1.0
+    new_dom = GridDomain(-3.0, 1.5, 50)
     w2, _ = _lsq(w, dom, new_dom)
     z = np.linspace(new_dom.a, new_dom.b, 999)
     assert np.abs(eval_activation(z, w2, new_dom) - (2.0 * z - 1.0)).max() <= 1e-8
@@ -315,7 +319,7 @@ def test_refit_lsq_identity():
 def test_refit_lsq_multiple_rows():
     rng = np.random.default_rng(29)
     W = rng.standard_normal((3, DOM4.n_coef))
-    new_dom = GridDomain(0.25, 0.75, 4, 3)
+    new_dom = GridDomain(0.25, 0.75, 4)
     W2, _ = _lsq(W, DOM4, new_dom)
     assert W2.shape == (3, new_dom.n_coef)
     for row, row2 in zip(W, W2):
@@ -328,29 +332,30 @@ def test_refit_greville_identity_and_constant():
     np.testing.assert_array_equal(_greville_refit(w, DOM4, DOM4), w)
     wc = np.full(DOM4.n_coef, 2.0)
     np.testing.assert_allclose(
-        _greville_refit(wc, DOM4, GridDomain(-3.0, 5.0, 4, 3)), 2.0, atol=1e-14)
+        _greville_refit(wc, DOM4, GridDomain(-3.0, 5.0, 4)), 2.0, atol=1e-14)
 
 
 def test_refit_greville_linear_shift():
     # linear weights under a shifted domain move exactly like the line
-    dom = GridDomain(0.0, 1.0, 4, 3)
-    new_dom = GridDomain(0.5, 1.5, 4, 3)
-    w = 2.0 * greville_abscissae(dom) + 1.0
-    expected = 2.0 * np.clip(greville_abscissae(new_dom),
-                             greville_abscissae(dom)[0], greville_abscissae(dom)[-1]) + 1.0
+    dom = GridDomain(0.0, 1.0, 4)
+    new_dom = GridDomain(0.5, 1.5, 4)
+    g = greville_abscissae(dom.a, dom.b, dom.omega)
+    w = 2.0 * g + 1.0
+    expected = 2.0 * np.clip(greville_abscissae(new_dom.a, new_dom.b, new_dom.omega),
+                             g[0], g[-1]) + 1.0
     np.testing.assert_allclose(_greville_refit(w, dom, new_dom), expected, atol=1e-12)
 
 
 def test_refine_constant_preserved():
-    w = np.full(GridDomain(0, 1, 3, 3).n_coef, 0.7)
-    w2, dom2, _ = _refine(w, GridDomain(0, 1, 3, 3), 5)
+    w = np.full(GridDomain(0, 1, 3).n_coef, 0.7)
+    w2, dom2, _ = _refine(w, GridDomain(0, 1, 3), 5)
     assert w2.shape == (dom2.n_coef,)
-    assert _dense_err(w2, dom2, w, GridDomain(0, 1, 3, 3), 0, 1) <= 1e-10
+    assert _dense_err(w2, dom2, w, GridDomain(0, 1, 3), 0, 1) <= 1e-10
 
 
 def test_refine_random_3_to_50():
     rng = np.random.default_rng(37)
-    dom = GridDomain(-1.0, 1.0, 3, 3)
+    dom = GridDomain(-1.0, 1.0, 3)
     w = rng.standard_normal(dom.n_coef)
     z = np.linspace(-1, 1, 800)
     vals = eval_activation(z, w, dom)
@@ -361,10 +366,10 @@ def test_refine_random_3_to_50():
 
 def test_refine_residual_self_check():
     rng = np.random.default_rng(41)
-    dom = GridDomain(0.0, 2.0, 3, 3)
+    dom = GridDomain(0.0, 2.0, 3)
     w = rng.standard_normal(dom.n_coef)
     w2, dom2, max_err = _refine(w, dom, 7)
-    knots = dom.edges()[1:-1]
+    knots = np.linspace(dom.a, dom.b, dom.omega + 1)[1:-1]
     err = np.abs(eval_activation(knots, w2, dom2) - eval_activation(knots, w, dom)).max()
     assert err <= max_err + 1e-12
 
