@@ -1,7 +1,8 @@
 """How the streaming histograms drive domain stretches and shrinks.
 
 A feature histogram tracks each layer input with an exponential moving
-average of batch counts plus two out-of-domain tallies.  When the tallies
+average of batch counts, at the rate ``AdaptConfig.alpha``, plus two
+out-of-domain tallies.  When the tallies
 grow, the domain stretches to the recorded extremes; when an edge bin and
 its tally decay below the shrink threshold, the domain contracts.
 
@@ -15,7 +16,7 @@ from adaptkan import AdaptConfig, FeatureHistogram, apply_adapt, decide, shrink_
 rng = np.random.default_rng(1)
 cfg = AdaptConfig(alpha=0.05, prune_patience=1, stretch_mode="half_max")
 # a layer with one input feature and one output: domain [-1, 1], 8 intervals
-hist = FeatureHistogram([-1.0], [1.0], omega=8, alpha=cfg.alpha)
+hist = FeatureHistogram([-1.0], [1.0], omega=8)
 coef = rng.standard_normal((1, 1, hist.omega + 3))
 
 print(f"shrink threshold tau = {shrink_threshold(cfg):.4f}")
@@ -24,7 +25,7 @@ print(f"start: domain [{hist.a[0]:+.3f}, {hist.b[0]:+.3f}]")
 # Phase 1: the data slowly drifts right, out of the initial domain.
 print("\n-- drifting stream --")
 for step in range(60):
-    hist.update(rng.normal(0.5 + 0.05 * step, 0.4, size=(64, 1)))
+    hist.update(rng.normal(0.5 + 0.05 * step, 0.4, size=(64, 1)), cfg.alpha)
     decision = decide(hist, cfg).get(0)
     if decision and decision.kind != "none":
         coef, hist, _ = apply_adapt(hist, coef, {0: decision}, cfg)
@@ -33,7 +34,7 @@ for step in range(60):
 # Phase 2: the data settles in a narrow band; stale edges get pruned.
 print("\n-- settled stream --")
 for step in range(200):
-    hist.update(rng.normal(2.0, 0.3, size=(64, 1)))
+    hist.update(rng.normal(2.0, 0.3, size=(64, 1)), cfg.alpha)
     decision = decide(hist, cfg).get(0)
     if decision and decision.kind != "none":
         coef, hist, _ = apply_adapt(hist, coef, {0: decision}, cfg)

@@ -24,7 +24,7 @@ id_scores = scorer.score_hist(id_query)
 ood_scores = scorer.score_hist(ood_query)
 
 print(f"fitted {scorer.n_features} histograms x {scorer.n_bins} bins "
-      f"(bounds from data: {scorer.bounds_from_data})")
+      f"on each feature's min/max over the fit data")
 print(f"mean ID score : {id_scores.mean():+.3f}")
 print(f"mean OOD score: {ood_scores.mean():+.3f}   (lower = more OOD)")
 print(f"AUROC         : {auroc(id_scores, ood_scores):.4f}")

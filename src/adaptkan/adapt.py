@@ -2,7 +2,7 @@
 
 At every training step each feature of a layer's histogram is inspected: if
 an edge bin and its out-of-domain tally have both decayed to (or below) the
-feature's shrink threshold, built from its own EMA rate, the domain
+shrink threshold, built from the EMA rate ``AdaptConfig.alpha``, the domain
 contracts to the span of bins still above it; if an out-of-domain tally has
 grown past the configured stretch threshold, the domain expands to the
 running extremes instead (the stretch check runs last and wins).
@@ -76,23 +76,21 @@ class Decision:
     note: str = ""
 
 
-def shrink_threshold(cfg: AdaptConfig, hist: np.ndarray | None = None, alpha=None):
-    """Stale-bin threshold, from each feature's EMA rate ``alpha`` (scalar or
-    (n,) array; ``cfg.alpha`` by default).
+def shrink_threshold(cfg: AdaptConfig, hist: np.ndarray | None = None):
+    """Stale-bin threshold, from the EMA rate ``cfg.alpha``.
 
     Fixed rule: N * (1-alpha)^p * alpha, built by repeated multiplication so
     it matches, operation for operation, the value an initial alpha count
     decays to after p clean EMA updates.  Relative rule: max(hist) * alpha
     along the last axis of ``hist``, so one threshold per feature.
     """
-    alpha = cfg.alpha if alpha is None else alpha
     if cfg.shrink_rule == "relative":
         if hist is None:
             raise ValueError("relative shrink rule needs the current histogram")
-        return np.max(hist, axis=-1) * alpha
-    tau = alpha
+        return np.max(hist, axis=-1) * cfg.alpha
+    tau = cfg.alpha
     for _ in range(cfg.prune_patience):
-        tau = tau * (1.0 - alpha)
+        tau = tau * (1.0 - cfg.alpha)
     return cfg.outlier_count * tau
 
 
@@ -116,18 +114,18 @@ def decide(h: FeatureHistogram, cfg: AdaptConfig) -> dict:
     """Pure adaptation decisions for every feature of a layer's histogram.
 
     Shrink fires when an edge bin and its out-of-domain tally are both at or
-    below the feature's shrink threshold, built from its own alpha; the new
-    bounds are the outermost bin edges whose bins still exceed it.  The
-    stretch check is evaluated afterwards and overrides a shrink, expanding
-    to the recorded extremes on both sides.  Stale and stretching features
-    are found with masks over all features at once, and only they are
-    examined one by one.
+    below the shrink threshold; the new bounds are the outermost bin edges
+    whose bins still exceed it.  The stretch check is evaluated afterwards
+    and overrides a shrink, expanding to the recorded extremes on both
+    sides.  Stale and stretching features are found with masks over all
+    features at once, and only they are examined one by one.
 
     Returns {feature index: Decision} holding each shrink, each stretch and
     each 'none' that carries a note; every other feature keeps its domain.
     """
     hist, ood = h.hist, h.ood_hist
-    tau = shrink_threshold(cfg, hist, h.alpha)[:, None]
+    # (1,) under the fixed rule, (n, 1) under the relative one
+    tau = np.asarray(shrink_threshold(cfg, hist))[..., None]
     edges = hist[:, ::max(h.omega - 1, 1)]  # first and last bin (one bin if omega = 1)
     # [left, right] per feature
     stale = np.maximum(ood, edges) <= tau
@@ -136,6 +134,7 @@ def decide(h: FeatureHistogram, cfg: AdaptConfig) -> dict:
     decisions = {}
     if not fire.any():
         return decisions
+    tau = np.broadcast_to(tau, (len(hist), 1))
     for j in np.flatnonzero(fire.any(axis=1)).tolist():
         if stretch[j].any():
             lo, hi = h.extremes[j].tolist()
@@ -168,10 +167,10 @@ def apply_adapt(hist: FeatureHistogram, coef: np.ndarray, decisions: dict, cfg: 
 
     The interval count stays fixed.  The weight rows of the features that
     shrink or stretch are refit onto their new bounds with one refit, and
-    the histogram is transferred with one refit; after a stretch the
-    feature's recorded extremes are reset to its new bounds.  Returns (coef,
-    hist, events), events being the number of features whose domain moved;
-    with none, the given coef and hist come back as they are.
+    the histogram is transferred with one refit, which widens the extremes
+    to the new bounds: after a stretch to the extremes they equal them.
+    Returns (coef, hist, events), events being the number of features whose
+    domain moved; with none, the given coef and hist come back as they are.
     """
     moved = {j: d for j, d in decisions.items() if d.kind != "none"}
     if not moved:
@@ -182,11 +181,7 @@ def apply_adapt(hist: FeatureHistogram, coef: np.ndarray, decisions: dict, cfg: 
     b[J] = [d.b for d in moved.values()]
     new_coef = coef.copy()
     new_coef[J] = _refit_weights(coef[J], hist.a[J], hist.b[J], a[J], b[J], hist.omega, cfg)
-    new_hist = hist.refit(a, b, hist.omega)
-    for j, d in moved.items():
-        if d.kind == "stretch":
-            new_hist.extremes[j] = (d.a, d.b)
-    return new_coef, new_hist, len(moved)
+    return new_coef, hist.refit(a, b, hist.omega), len(moved)
 
 
 def manual_adapt(hist: FeatureHistogram, coef: np.ndarray, batch, cfg: AdaptConfig):
@@ -194,8 +189,8 @@ def manual_adapt(hist: FeatureHistogram, coef: np.ndarray, batch, cfg: AdaptConf
 
     ``batch`` is a layer's (B, n) inputs and ``coef`` (n, m, P) the weight
     rows of its n features.  Each histogram is rebuilt from the batch alone
-    (no memory), keeping its alpha.  A degenerate feature (max == min) is
-    widened symmetrically by 1e-6.  Returns (coef, hist).
+    (no memory).  A degenerate feature (max == min) is widened symmetrically
+    by 1e-6.  Returns (coef, hist).
     """
     Z = np.asarray(batch, dtype=float)
     if not np.all(np.isfinite(Z)):
@@ -203,7 +198,7 @@ def manual_adapt(hist: FeatureHistogram, coef: np.ndarray, batch, cfg: AdaptConf
     lo, hi = Z.min(axis=0), Z.max(axis=0)
     flat = lo == hi
     new_hist = FeatureHistogram(np.where(flat, lo - 1e-6, lo), np.where(flat, hi + 1e-6, hi),
-                                hist.omega, hist.alpha)
+                                hist.omega)
     new_hist.counts[...] = new_hist.batch_counts(Z)[0]
     new_coef = _refit_weights(coef, hist.a, hist.b, new_hist.a, new_hist.b, hist.omega, cfg)
     return new_coef, new_hist

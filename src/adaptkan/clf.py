@@ -92,10 +92,13 @@ def simulate(x0, u_fn=None, horizon: float = 10.0, dt: float = 0.01,
     The control ``u_fn(X, f)`` is recomputed at every stage evaluation from
     the current stage state X and its drift f, which each stage computes
     once.  Trajectories that go non-finite are frozen and flagged;
-    their final distance is reported as infinity downstream.  Returns
-    (final_states, ok_mask) or (final_states, ok_mask, path) where path has
-    shape (steps + 1, K, 2).
+    their final distance is reported as infinity downstream.  ``horizon``
+    and ``dt`` must be finite and > 0.  Returns (final_states, ok_mask) or
+    (final_states, ok_mask, path) where path has shape (steps + 1, K, 2).
     """
+    for name, value in (("horizon", horizon), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     X = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
     K = X.shape[0]
     ok = np.ones(K, dtype=bool)
@@ -148,12 +151,12 @@ class ConformalReport:
         """Bound C with P(new sample <= C) >= 1 - delta.
 
         Returns the ceil((K+1)(1-delta))-th order statistic, with the
-        (K+1)-th taken as infinity.
+        (K+1)-th taken as infinity; needs 0 < delta < 1.
         """
+        if not 0.0 < delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
         K = len(self.samples)
         p = math.ceil((K + 1) * (1.0 - delta))
-        if p <= 0:
-            return float(self.samples[0])
         if p >= K + 1:
             return math.inf
         return float(self.samples[p - 1])

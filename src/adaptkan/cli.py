@@ -33,7 +33,7 @@ from .clf import (
 from .model_io import load_model, save_model
 from .network import NonFiniteError, init_network
 from .ood import DEFAULT_BINS_HIST, OodScorer, auroc
-from .optim import TrainPlan, train
+from .optim import TrainPlan, require_count, train
 from .tasks import generate, get_task, load_dataset, read_table, rmse, write_table
 
 EXIT_OK = 0
@@ -49,9 +49,12 @@ class ConfigError(Exception):
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path} does not hold a JSON object")
+    return cfg
 
 
 def _require(cfg: dict, key: str):
@@ -76,19 +79,15 @@ def _given_fields(cls, cfg: dict) -> dict:
 
 
 def _build_net(cfg: dict, shape, seed: int):
+    """The config's network; ``init`` holds keywords of :func:`init_network`."""
     init = cfg.get("init", {})
     if not isinstance(init, dict):
         raise ConfigError("init must be a JSON object")
     adapt = AdaptConfig.from_dict(cfg.get("adapt", {}))
-    return init_network(
-        shape,
-        mode=init.get("mode", "kan"),
-        noise=init.get("noise", 0.5),
-        omega=init.get("omega", 3),
-        domain=tuple(init.get("domain", (-1.0, 1.0))),
-        seed=seed,
-        cfg=adapt,
-    )
+    try:
+        return init_network(shape, seed=seed, cfg=adapt, **init)
+    except TypeError as exc:  # unknown or repeated key, or a mistyped value
+        raise ConfigError(f"malformed init block: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -177,10 +176,8 @@ def cmd_clf_train(args) -> int:
     X_tr = rng.uniform(bounds[0], bounds[1], size=(cfg.get("train_n", 8000), shape[0]))
     X_val = rng.uniform(bounds[0], bounds[1], size=(cfg.get("test_n", 2000), shape[0]))
     net = _build_net(cfg, shape, seed)
-    history = train_clf(net, X_tr, loss_cfg, epochs,
-                        lr=cfg.get("lr", 0.01),
-                        batch_size=cfg.get("batch_size", 256),
-                        seed=seed, X_val=X_val)
+    history = train_clf(net, X_tr, loss_cfg, epochs, seed=seed, X_val=X_val,
+                        **{k: cfg[k] for k in ("lr", "batch_size") if k in cfg})
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     save_model(net, f"{out}/model.json",
@@ -195,6 +192,7 @@ def cmd_clf_train(args) -> int:
 
 
 def cmd_clf_simulate(args) -> int:
+    require_count("trajectories", args.trajectories)
     if args.analytical:
         provider = analytical_clf
     elif args.model:

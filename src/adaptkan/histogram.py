@@ -14,10 +14,10 @@ features of a layer:
                              1..omega are the in-domain bins, column
                              omega+1 tallies data above b
     extremes  (n, 2)         running min below a / max above b
-    alpha     (n,)           EMA rate per feature
 
 so a layer counts a whole (B, n) batch with one offset ``bincount`` and one
-EMA, and moves the domain of any of its features with one
+EMA at the rate its caller passes (``AdaptConfig.alpha`` in a network), and
+moves the domain of any of its features with one
 :meth:`FeatureHistogram.refit`.  A single feature is the n = 1 layer.
 
 Training and OOD histograms alike count and read bins by one rule,
@@ -68,18 +68,18 @@ def floored_prob(x, counts, a, b) -> np.ndarray:
 class FeatureHistogram:
     """EMA bin counts over the grid domain of each of a layer's n input features.
 
-    ``FeatureHistogram(a, b, omega, alpha, counts, extremes)`` copies its
-    state arrays, described in the module docstring; ``alpha`` may be one
-    rate for all features.  By default the counts are zero and the extremes
-    sit at the bounds, so an untouched side never moves the domain.  The
-    bounds must be finite with a < b, omega >= 1, 0 < alpha <= 1, and the
-    counts and extremes finite.
+    ``FeatureHistogram(a, b, omega, counts, extremes)`` copies its state
+    arrays, described in the module docstring.  By default the counts are
+    zero and the extremes sit at the bounds, so an untouched side never
+    moves the domain.  The bounds must be finite with a < b, omega >= 1, the
+    counts and extremes finite, and the extremes must bracket the bounds
+    (extremes[:, 0] <= a, extremes[:, 1] >= b).
 
     hist : (n, omega) view of the EMA counts over the in-domain bins.
     ood_hist : (n, 2) view of the EMA counts of data below a / above b.
     """
 
-    def __init__(self, a, b, omega: int, alpha, counts=None, extremes=None):
+    def __init__(self, a, b, omega: int, counts=None, extremes=None):
         self.a = np.array(a, dtype=float)
         self.b = np.array(b, dtype=float)
         self.omega = int(omega)
@@ -92,9 +92,6 @@ class FeatureHistogram:
             raise ValueError("domain bounds must be finite with a < b")
         if self.omega < 1:
             raise ValueError(f"need omega >= 1, got {omega}")
-        self.alpha = np.array(np.broadcast_to(alpha, n), dtype=float)
-        if not ((0.0 < self.alpha) & (self.alpha <= 1.0)).all():
-            raise ValueError(f"need 0 < alpha <= 1, got {alpha}")
         self.counts = (np.zeros(n + (self.omega + 2,)) if counts is None
                        else np.array(counts, dtype=float))
         self.extremes = (np.stack([self.a, self.b], axis=-1) if extremes is None
@@ -104,6 +101,8 @@ class FeatureHistogram:
                 raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"non-finite {name}")
+        if not ((self.extremes[:, 0] <= self.a).all() and (self.extremes[:, 1] >= self.b).all()):
+            raise ValueError("extremes must bracket the domain bounds")
 
     @property
     def d(self) -> np.ndarray:
@@ -134,8 +133,8 @@ class FeatureHistogram:
         counts = np.bincount(col.ravel(), minlength=self.counts.size)
         return counts.reshape(self.counts.shape), below, above
 
-    def update(self, batch) -> "FeatureHistogram":
-        """Blend one batch (B, n) into the EMA state (in place).
+    def update(self, batch, alpha: float) -> "FeatureHistogram":
+        """Blend one batch (B, n) into the EMA state at rate ``alpha`` (in place).
 
         Counts each feature's values below a / in each bin / above b, updates
         the running extremes, and applies counts <- (1-alpha)*counts +
@@ -146,7 +145,6 @@ class FeatureHistogram:
         if not np.isfinite(Z).all():
             raise ValueError("non-finite values in histogram batch")
         counts, below, above = self.batch_counts(Z)
-        alpha = self.alpha[:, None]
         self.counts *= 1.0 - alpha
         self.counts += alpha * counts
         if below.any():
@@ -178,7 +176,7 @@ class FeatureHistogram:
                                   a[j], b[j], omega)
         extremes = np.stack([np.minimum(self.extremes[:, 0], a),
                              np.maximum(self.extremes[:, 1], b)], axis=-1)
-        return FeatureHistogram(a, b, omega, self.alpha, counts, extremes)
+        return FeatureHistogram(a, b, omega, counts, extremes)
 
 
 def _centers(a, b, omega: int) -> np.ndarray:

@@ -19,7 +19,8 @@ from .spline import GridDomain
 FORMAT_VERSION = 1
 
 
-def _layer_to_dict(layer: AdaptKanLayer) -> dict:
+def _layer_to_dict(layer: AdaptKanLayer, alpha: float) -> dict:
+    """A layer's JSON object; each feature records the network's EMA rate."""
     h = layer.hist
     return {
         "n": layer.n,
@@ -29,11 +30,11 @@ def _layer_to_dict(layer: AdaptKanLayer) -> dict:
             {
                 "domain": {"a": a, "b": b, "omega": h.omega, "k": 3},
                 "hist": {"hist": hist, "ood_hist": ood, "ood_a": lo, "ood_b": hi,
-                         "alpha": alpha},
+                         "alpha": float(alpha)},
             }
-            for a, b, hist, ood, (lo, hi), alpha in zip(
+            for a, b, hist, ood, (lo, hi) in zip(
                 h.a.tolist(), h.b.tolist(), h.hist.tolist(), h.ood_hist.tolist(),
-                h.extremes.tolist(), h.alpha.tolist())
+                h.extremes.tolist())
         ],
         "coef": layer.coef.tolist(),
         "w_s": layer.w_s.tolist(),
@@ -41,8 +42,9 @@ def _layer_to_dict(layer: AdaptKanLayer) -> dict:
     }
 
 
-def _layer_hist(features) -> FeatureHistogram:
-    """A layer's histogram from its per-feature JSON objects."""
+def _layer_hist(features, alpha: float) -> FeatureHistogram:
+    """A layer's histogram from its per-feature JSON objects, each of which
+    must record the EMA rate ``alpha`` of the network's adapt block."""
     domains = [dict(f["domain"]) for f in features]
     degrees = {d.pop("k", 3) for d in domains}  # files record the degree; only 3 runs
     doms = [GridDomain(**d) for d in domains]
@@ -51,19 +53,20 @@ def _layer_hist(features) -> FeatureHistogram:
         raise ValueError("a layer needs one or more cubic (k = 3) features, all with one omega")
     if {len(h["ood_hist"]) for h in hists} != {2}:
         raise ValueError("every feature needs two out-of-domain tallies")
+    if any(h["alpha"] != alpha for h in hists):
+        raise ValueError(f"every feature's alpha must equal the adapt block's ({alpha})")
     # counts rows [below a, bins..., above b]; the constructor checks their width
     return FeatureHistogram([dom.a for dom in doms], [dom.b for dom in doms], doms[0].omega,
-                            [h["alpha"] for h in hists],
                             [h["ood_hist"][:1] + h["hist"] + h["ood_hist"][1:] for h in hists],
                             [[h["ood_a"], h["ood_b"]] for h in hists])
 
 
-def _layer_from_dict(d) -> AdaptKanLayer:
+def _layer_from_dict(d, alpha: float) -> AdaptKanLayer:
     """Layer from its JSON object; a value of the wrong JSON type anywhere in
     it (a layer or feature that is not an object, say) raises ValueError."""
     try:
         return AdaptKanLayer(d["n"], d["m"],
-                             _layer_hist(d["features"]),
+                             _layer_hist(d["features"], alpha),
                              np.asarray(d["coef"], dtype=float),
                              np.asarray(d["w_s"], dtype=float),
                              np.asarray(d["w_b"], dtype=float),
@@ -78,7 +81,7 @@ def save_model(net: AdaptKanNet, path, meta: dict | None = None) -> None:
         "format_version": FORMAT_VERSION,
         "shape": net.shape,
         "adapt": asdict(net.cfg),
-        "layers": [_layer_to_dict(ly) for ly in net.layers],
+        "layers": [_layer_to_dict(ly, net.cfg.alpha) for ly in net.layers],
         "meta": meta or {},
     }
     with open(path, "w") as fh:
@@ -97,5 +100,4 @@ def load_model(path) -> AdaptKanNet:
     cfg = AdaptConfig.from_dict(doc["adapt"])
     if not isinstance(doc["layers"], list):
         raise ValueError(f"model file {path}: layers is not a JSON list")
-    net = AdaptKanNet([_layer_from_dict(d) for d in doc["layers"]], cfg)
-    return net
+    return AdaptKanNet([_layer_from_dict(d, cfg.alpha) for d in doc["layers"]], cfg)

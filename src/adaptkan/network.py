@@ -9,12 +9,13 @@ initialisation each activation also carries a scaled SiLU base term:
 Every input feature of every layer owns a grid domain and an EMA histogram.
 A layer keeps them as one :class:`~adaptkan.histogram.FeatureHistogram` of
 its n features: bounds a, b (n,), counts (n, omega+2) with the below-a and
-above-b tallies as first and last columns, extremes (n, 2) and alpha (n,).
-With ``record=True`` the forward pass runs, per layer and before evaluating
-it, one update of the histogram with the whole batch, one ``decide`` for all
-its features and, when a feature fires, one ``apply_adapt`` that refits the
-weight rows of the features that move and the histogram, so layers adapt to
-the data they are about to see.
+above-b tallies as first and last columns, and extremes (n, 2).  With
+``record=True`` the forward pass runs, per layer and before evaluating it,
+one update of the histogram with the whole batch at the network's EMA rate
+``AdaptConfig.alpha``, one ``decide`` for all its features and, when a
+feature fires, one ``apply_adapt`` that refits the weight rows of the
+features that move and the histogram, so layers adapt to the data they are
+about to see.
 
 The trainable arrays of all layers (coef, and w_s, w_b under the base term)
 are views into one flat buffer, so :meth:`AdaptKanNet.parameters` is a
@@ -279,7 +280,7 @@ class AdaptKanNet:
         features whose decision fires."""
         layer = self.layers[li]
         try:
-            layer.hist.update(Z)
+            layer.hist.update(Z, self.cfg.alpha)
         except ValueError:  # the update's own check: a non-finite batch
             raise NonFiniteError(li, "inputs") from None
         decisions = decide(layer.hist, self.cfg)
@@ -491,12 +492,11 @@ def init_network(shape, mode: str = "kan", noise: float = 0.5, seed: int = 0,
         raise ValueError(f"unknown init mode {mode!r}")
     if len(shape) < 2:
         raise ValueError("shape needs at least input and output widths")
-    cfg = cfg if cfg is not None else AdaptConfig()
     rng = np.random.default_rng(seed)
     layers = []
     dom = GridDomain(domain[0], domain[1], omega)
     for n, m in zip(shape[:-1], shape[1:]):
-        hist = FeatureHistogram(np.full(n, dom.a), np.full(n, dom.b), omega, cfg.alpha)
+        hist = FeatureHistogram(np.full(n, dom.a), np.full(n, dom.b), omega)
         P = omega + 3
         if mode == "kan":
             coef = noise * rng.standard_normal((n, m, P))

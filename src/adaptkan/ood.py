@@ -16,6 +16,7 @@ import json
 import numpy as np
 
 from .histogram import floored_prob, histogram_bin
+from .optim import require_count
 
 DEFAULT_BINS_HIST = 200      # histogram-only scoring
 DEFAULT_MSP_LAMBDA = 0.1
@@ -24,15 +25,11 @@ DEFAULT_MSP_LAMBDA = 0.1
 class OodScorer:
     """Immutable per-feature histogram scorer."""
 
-    def __init__(self, lo, hi, counts, msp_lambda: float = DEFAULT_MSP_LAMBDA,
-                 bounds_from_data: bool = False):
+    def __init__(self, lo, hi, counts, msp_lambda: float = DEFAULT_MSP_LAMBDA):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
         self.counts = np.asarray(counts, dtype=float)
         self.msp_lambda = float(msp_lambda)
-        # True when the feature ranges were taken from the fit data itself
-        # rather than supplied externally.
-        self.bounds_from_data = bounds_from_data
         if self.counts.ndim != 2:
             raise ValueError("counts must be (n_features, n_bins)")
         if not (np.isfinite(self.counts).all() and (self.counts >= 0.0).all()):
@@ -53,21 +50,19 @@ class OodScorer:
             "hi": self.hi.tolist(),
             "counts": self.counts.tolist(),
             "msp_lambda": self.msp_lambda,
-            "bounds_from_data": self.bounds_from_data,
         }
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1)
 
     @classmethod
     def load(cls, path) -> "OodScorer":
-        """Read a scorer written by :meth:`save`."""
+        """Read a scorer written by :meth:`save` (older files' extra keys are ignored)."""
         with open(path) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError(f"scorer file {path} does not hold a JSON object")
         return cls(doc["lo"], doc["hi"], doc["counts"],
-                   msp_lambda=doc.get("msp_lambda", DEFAULT_MSP_LAMBDA),
-                   bounds_from_data=doc.get("bounds_from_data", False))
+                   msp_lambda=doc.get("msp_lambda", DEFAULT_MSP_LAMBDA))
 
     @property
     def n_features(self) -> int:
@@ -83,8 +78,10 @@ class OodScorer:
         """One-pass histograms over a (N, n_features) matrix.
 
         Bounds are each feature's min/max over the fit data; a degenerate
-        (constant) feature is widened by 1e-6 on each side.
+        (constant) feature is widened by 1e-6 on each side.  ``bins`` must be
+        an integer >= 1.
         """
+        require_count("bins", bins)
         X = np.atleast_2d(np.asarray(features, dtype=float))
         if not np.all(np.isfinite(X)):
             raise ValueError("non-finite values in fit features")
@@ -97,7 +94,7 @@ class OodScorer:
         n = X.shape[1]
         idx = histogram_bin(X, lo, hi, bins) + bins * np.arange(n)
         counts = np.bincount(idx.ravel(), minlength=n * bins).reshape(n, bins)
-        return cls(lo, hi, counts, msp_lambda=msp_lambda, bounds_from_data=True)
+        return cls(lo, hi, counts, msp_lambda=msp_lambda)
 
     def feature_probs(self, X) -> np.ndarray:
         """Normalised bin values per (sample, feature), floored at PROB_FLOOR."""

@@ -109,29 +109,29 @@ def test_criterion_02_gradient_suite():
     _report(2, "gradient suite", ok, f"(worst rel err {worst:.2e}, {elapsed:.1f}s)")
 
 
-def _one_feature(alpha, hist=None):
+def _one_feature(hist=None):
     """Histogram of one feature on [0, 1] with 4 bins, empty tallies."""
-    return FeatureHistogram([0.0], [1.0], 4, alpha, None if hist is None else [[0.0, *hist, 0.0]])
+    return FeatureHistogram([0.0], [1.0], 4, None if hist is None else [[0.0, *hist, 0.0]])
 
 
 def test_criterion_03_ema_exactness():
     # alpha = 0.5 with integer counts: every EMA operation is exact in
     # binary floats, so the geometric identity holds bitwise
-    h = _one_feature(0.5, [8.0, 0.0, 4.0, 2.0])
+    h = _one_feature([8.0, 0.0, 4.0, 2.0])
     batch = np.array([[0.1], [0.3], [0.6], [0.9]])
     target = h.batch_counts(batch)[0]
     diff0 = h.counts - target
     exact = True
     for t in range(1, 51):
-        h.update(batch)
+        h.update(batch, 0.5)
         exact = exact and np.array_equal(h.counts - target, 0.5**t * diff0)
     # generic alpha: closed form reproduced within 1e-12 relative
     alpha = 1e-3
-    h2 = _one_feature(alpha, [5.0, 1.0, 0.0, 2.0])
+    h2 = _one_feature([5.0, 1.0, 0.0, 2.0])
     diff0 = np.linalg.norm(h2.counts - target)
     rel = 0.0
     for t in range(1, 51):
-        h2.update(batch)
+        h2.update(batch, alpha)
         got = np.linalg.norm(h2.counts - target)
         expected = (1 - alpha) ** t * diff0
         rel = max(rel, abs(got - expected) / expected)
@@ -145,12 +145,12 @@ def test_criterion_04_shrink_timing():
     detail = []
     for alpha, p in [(1e-3, 10), (0.5, 2)]:
         cfg = AdaptConfig(alpha=alpha, prune_patience=p)
-        h = _one_feature(alpha)
-        h.update(np.vstack([clean, [[0.9]]]))  # the single outlier, bin 3
+        h = _one_feature()
+        h.update(np.vstack([clean, [[0.9]]]), alpha)  # the single outlier, bin 3
         early = any(d.kind != "none" for d in decide(h, cfg).values())
         fired_at = None
         for step in range(1, p + 1):
-            h.update(clean)
+            h.update(clean, alpha)
             d = decide(h, cfg).get(0)
             if d is not None and d.kind == "shrink":
                 fired_at = step

@@ -25,10 +25,10 @@ from adaptkan.tasks import PoisonPlan, poison_hook
 DOM4 = GridDomain(0.0, 1.0, 4)
 
 
-def make_hist(dom, hist=None, ood=(0.0, 0.0), ood_a=None, ood_b=None, alpha=0.5):
+def make_hist(dom, hist=None, ood=(0.0, 0.0), ood_a=None, ood_b=None):
     """One-feature layer histogram on dom with the given counts and extremes."""
     counts = None if hist is None else [[ood[0], *hist, ood[1]]]
-    return FeatureHistogram([dom.a], [dom.b], dom.omega, alpha, counts,
+    return FeatureHistogram([dom.a], [dom.b], dom.omega, counts,
                             [[dom.a if ood_a is None else ood_a, dom.b if ood_b is None else ood_b]])
 
 
@@ -57,7 +57,7 @@ def test_shrink_threshold_scales_with_outlier_count():
 def test_decide_shrink_example():
     # tau = max(hist) * alpha = 0.1 via the relative rule
     cfg = AdaptConfig(alpha=0.02, shrink_rule="relative")
-    h = make_hist(DOM4, [0.0, 5.0, 5.0, 0.0], alpha=0.02)
+    h = make_hist(DOM4, [0.0, 5.0, 5.0, 0.0])
     d = decide1(h, cfg)
     assert d.kind == "shrink"
     assert (d.a, d.b) == (0.25, 0.75)
@@ -87,7 +87,7 @@ def test_decide_collapse_returns_none_with_note():
 
 def test_decide_is_pure():
     cfg = AdaptConfig(alpha=0.02, shrink_rule="relative")
-    h = make_hist(DOM4, [0.0, 5.0, 5.0, 0.0], alpha=0.02)
+    h = make_hist(DOM4, [0.0, 5.0, 5.0, 0.0])
     assert decide(h, cfg) == decide(h, cfg)
 
 
@@ -109,12 +109,12 @@ def test_tau_timing_semantics():
     # to (1-alpha)^p * alpha and the shrink must fire at step p, not before
     for alpha, p in [(1e-3, 10), (0.5, 2)]:
         cfg = AdaptConfig(alpha=alpha, prune_patience=p)
-        h = make_hist(DOM4, alpha=alpha)
+        h = make_hist(DOM4)
         clean = np.array([[0.1], [0.3], [0.6]])  # covers bins 0..2
-        h.update(np.vstack([clean, [[0.9]]]))    # outlier lands in bin 3
+        h.update(np.vstack([clean, [[0.9]]]), alpha)  # outlier lands in bin 3
         assert decide1(h, cfg).kind == "none"
         for step in range(1, p + 1):
-            h.update(clean)
+            h.update(clean, alpha)
             d = decide1(h, cfg)
             if step < p:
                 assert d.kind == "none", f"fired early at step {step}"
@@ -125,27 +125,18 @@ def test_tau_timing_semantics():
 
 
 def test_shrink_threshold_uses_each_features_alpha():
-    # an outlier bin decays at its feature's own alpha, so the rule "the
-    # shrink fires after exactly p clean batches" must hold for a feature
-    # whose alpha differs from cfg.alpha; a threshold built from cfg.alpha
-    # leaves every bin of this feature below it for the first 7 batches
-    cfg = AdaptConfig(alpha=0.1, prune_patience=2)
-    h = make_hist(DOM4, alpha=0.01)
+    # every feature's bins decay at cfg.alpha, the rate the threshold is
+    # built from, so the shrink fires after exactly p clean batches, not before
+    cfg = AdaptConfig(alpha=0.01, prune_patience=2)
+    h = make_hist(DOM4)
     clean = np.array([[0.1], [0.3], [0.6]])
-    h.update(np.vstack([clean, [[0.9]]]))
+    h.update(np.vstack([clean, [[0.9]]]), cfg.alpha)
     assert decide(h, cfg) == {}
-    h.update(clean)
+    h.update(clean, cfg.alpha)
     assert decide(h, cfg) == {}
-    h.update(clean)
+    h.update(clean, cfg.alpha)
     assert decide(h, cfg) == {0: Decision("shrink", 0.0, 0.75)}
-    assert h.hist[0, 3] == shrink_threshold(cfg, alpha=h.alpha)[0]
-    # the relative rule scales each feature's largest bin by its own alpha
-    np.testing.assert_array_equal(
-        shrink_threshold(AdaptConfig(alpha=0.1, shrink_rule="relative"),
-                         np.array([[40.0, 7.0], [10.0, 1.0]]), np.array([0.01, 0.5])),
-        [0.4, 5.0])
-    cfg = AdaptConfig(alpha=0.1, shrink_rule="relative")
-    assert decide(make_hist(DOM4, [0.5, 5.0, 5.0, 0.5], alpha=0.01), cfg) == {}
+    assert h.hist[0, 3] == shrink_threshold(cfg)
 
 
 def make_state(rng, dom=DOM4, m=3):
@@ -175,6 +166,19 @@ def test_apply_stretch_keeps_constant_function():
         np.testing.assert_allclose(eval_activation(z, row, dom2), 3.0, atol=1e-10)
     # extremes reset after a stretch
     assert tuple(hist2.extremes[0]) == (dom2.a, dom2.b)
+
+
+def test_stretch_leaves_extremes_at_the_new_bounds():
+    # the refit of a stretch widens the extremes to the new bounds, which
+    # are the extremes themselves; a feature that stays keeps its own
+    hist = FeatureHistogram([0.0, 0.0], [1.0, 1.0], 4, [[4.0, 1, 1, 1, 1, 0], [0, 1, 1, 1, 1, 0]],
+                            [[-2.0, 1.0], [-0.5, 3.0]])
+    decisions = decide(hist, AdaptConfig(stretch_mode="max"))
+    assert decisions == {0: Decision("stretch", -2.0, 1.0)}
+    _, hist2, events = apply_adapt(hist, np.zeros((2, 1, 7)), decisions, AdaptConfig())
+    assert events == 1
+    np.testing.assert_array_equal(hist2.extremes, [[-2.0, 1.0], [-0.5, 3.0]])
+    assert (hist2.a[0], hist2.b[0]) == (-2.0, 1.0)
 
 
 def test_apply_shrink_matches_on_overlap():
@@ -229,7 +233,7 @@ def test_decide_shrink_bounds_lie_on_bin_edges():
     for _ in range(50):
         omega = int(rng.integers(2, 12))
         dom = GridDomain(-1.0, 1.0, omega)
-        h = make_hist(dom, rng.uniform(0, 0.01, size=omega) ** 2, alpha=0.05)
+        h = make_hist(dom, rng.uniform(0, 0.01, size=omega) ** 2)
         d = decide1(h, cfg)
         if d.kind == "shrink":
             edges = np.linspace(dom.a, dom.b, dom.omega + 1)
@@ -239,8 +243,10 @@ def test_decide_shrink_bounds_lie_on_bin_edges():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        AdaptConfig(alpha=0.0)
+    AdaptConfig(alpha=1.0)
+    for alpha in (0.0, -0.5, 1.5):  # alpha out of (0, 1]
+        with pytest.raises(ValueError):
+            AdaptConfig(alpha=alpha)
     with pytest.raises(ValueError):
         AdaptConfig(prune_patience=0)
     with pytest.raises(ValueError):
@@ -271,8 +277,8 @@ def _one_feature_net(net, j):
     h = layer.hist
     single = init_network([1, layer.m], mode="kan", omega=h.omega, cfg=net.cfg)
     s = single.layers[0]
-    s.hist = FeatureHistogram(h.a[j:j + 1], h.b[j:j + 1], h.omega, h.alpha[j:j + 1],
-                              h.counts[j:j + 1], h.extremes[j:j + 1])
+    s.hist = FeatureHistogram(h.a[j:j + 1], h.b[j:j + 1], h.omega, h.counts[j:j + 1],
+                              h.extremes[j:j + 1])
     for name in s.trainable():
         getattr(s, name)[...] = getattr(layer, name)[j:j + 1]
     return single
@@ -291,15 +297,14 @@ def test_layer_arrays_match_one_feature_histograms(stream, monkeypatch):
 
     monkeypatch.setattr(network, "decide", spy)
     outcomes = set()
-    for stretch_mode, shrink_rule, refit_mode in itertools.product(
-            STRETCH_MODES, SHRINK_RULES, REFIT_MODES):
-        cfg = AdaptConfig(alpha=0.1, prune_patience=2, stretch_mode=stretch_mode,
+    # under the relative rule alpha = 1 puts tau at the largest bin, so a
+    # stale edge finds the domain would collapse
+    for alpha, stretch_mode, shrink_rule, refit_mode in itertools.product(
+            (1.0, 0.1, 0.01), STRETCH_MODES, SHRINK_RULES, REFIT_MODES):
+        cfg = AdaptConfig(alpha=alpha, prune_patience=2, stretch_mode=stretch_mode,
                           shrink_rule=shrink_rule, refit_mode=refit_mode)
         net = init_network([3, 2], mode="kan", noise=0.5, seed=3, omega=10, cfg=cfg)
         layer = net.layers[0]
-        # alphas on both sides of cfg.alpha; under the relative rule alpha = 1
-        # puts tau at the largest bin, so a stale edge finds the domain would collapse
-        layer.hist.alpha[:] = [1.0, 0.1, 0.01]
         singles = [_one_feature_net(net, j) for j in range(3)]
         for X in stream(np.random.default_rng(11)):
             seen.clear()
@@ -312,7 +317,7 @@ def test_layer_arrays_match_one_feature_histograms(stream, monkeypatch):
                 assert layer_decisions.get(j, Decision("none")) == d
                 outcomes.add(d.note or d.kind)
                 got = single.layers[0]
-                for name in ("a", "b", "alpha", "counts", "extremes"):
+                for name in ("a", "b", "counts", "extremes"):
                     assert np.array_equal(getattr(layer.hist, name)[j],
                                           getattr(got.hist, name)[0]), name
                 assert np.array_equal(layer.coef[j], got.coef[0])
@@ -327,7 +332,7 @@ def test_refine_and_manual_snap_match_one_feature_networks(refit_mode):
     # one-feature network gets them
     net = init_network([3, 2], mode="kan", noise=0.5, seed=4, omega=5,
                        cfg=AdaptConfig(refit_mode=refit_mode))
-    net.layers[0].hist = FeatureHistogram([-1.0, -0.5, 0.2], [1.0, 2.0, 0.9], 5, 0.1)
+    net.layers[0].hist = FeatureHistogram([-1.0, -0.5, 0.2], [1.0, 2.0, 0.9], 5)
     net.forward(np.random.default_rng(6).normal(size=(32, 3)), record=True)
     singles = [_one_feature_net(net, j) for j in range(3)]
     X = np.random.default_rng(5).normal(size=(32, 3))

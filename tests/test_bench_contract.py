@@ -8,6 +8,7 @@ conditions in well under a second, without running the benchmark.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -124,3 +125,12 @@ def test_crosscheck_script_runs(monkeypatch):
         assert crosscheck.simulate_s(trajectories=4, steps=1) > 0.0
     finally:
         sys.modules.pop("workloads", None)
+
+
+def test_benchmark_selftest_passes():
+    # every workload at its tiny size, traced and untraced, plus the refusal
+    # to run in a bare directory: a change that breaks a benchmark run fails
+    # here.  It writes its results under the gitignored .perfbench/.
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=_PERFBENCH.parent,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -378,7 +378,12 @@ def _misspelled_round_key(cfg):
     cfg["rounds"] = [{"lr": 1e-2, "step": 30, "omega": 3}]
 
 
-@pytest.mark.parametrize("corrupt", [_misspelled_adapt_key, _misspelled_round_key])
+def _misspelled_init_key(cfg):
+    cfg["init"] = {"omgea": 10}
+
+
+@pytest.mark.parametrize("corrupt", [_misspelled_adapt_key, _misspelled_round_key,
+                                     _misspelled_init_key])
 def test_train_config_with_misspelled_key_exits_2(tmp_path, capsys, corrupt):
     cfg = json.loads(json.dumps(TRAIN_CFG))
     corrupt(cfg)
@@ -410,6 +415,76 @@ def test_train_config_with_list_init_exits_2(tmp_path, capsys):
     assert main(["train", "--config", path, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "init" in err and err.count("\n") == 1
+
+
+def test_init_keys_are_init_network_keywords():
+    from adaptkan.cli import _build_net
+    init = {"mode": "linear", "noise": 0.0, "omega": 4, "domain": [-2.0, 2.0], "slope": 0.5}
+    net = _build_net({"init": init}, [2, 3], seed=1)
+    np.testing.assert_array_equal(net.parameters()[0],
+                                  init_network([2, 3], seed=1, **init).parameters()[0])
+    np.testing.assert_array_equal(net.layers[0].hist.b, [2.0, 2.0])
+
+
+def test_clf_train_defaults_are_train_clfs(tmp_path):
+    cfg = {"shape": [2, 4], "epochs": 2, "train_n": 600, "test_n": 64}
+    outs = []
+    for name, extra in (("given", {"lr": 0.01, "batch_size": 256}), ("default", {})):
+        out = tmp_path / name
+        path = write_cfg(tmp_path, {**cfg, **extra}, f"{name}.json")
+        assert main(["clf", "train", "--config", path, "--out-dir", str(out)]) == 0
+        outs.append([(out / f).read_bytes() for f in ("model.json", "clf_metrics.csv")])
+    assert outs[0] == outs[1]
+
+
+def _simulate(tmp_path, *flags):
+    return ["clf", "simulate", "--analytical", "--trajectories", "3", "--horizon", "0.05",
+            "--out", str(tmp_path / "r.csv"), *flags]
+
+
+def _conformal(tmp_path, *flags):
+    report = tmp_path / "report.csv"
+    report.write_text("final_distance\n0.1\n0.2\n")
+    return ["clf", "conformal", "--report", str(report), *flags]
+
+
+def _ood_fit(tmp_path, *flags):
+    features = tmp_path / "f.csv"
+    write_features(features, np.random.default_rng(12).normal(size=(20, 2)))
+    return ["ood", "fit", "--features", str(features), "--out", str(tmp_path / "s.json"), *flags]
+
+
+def _config_file(command, text):
+    def argv(tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        return command + ["--config", str(path), "--out-dir", str(tmp_path / "out")]
+    return argv
+
+
+@pytest.mark.parametrize("argv,named", [
+    (lambda t: _simulate(t, "--dt", "0"), "dt"),
+    (lambda t: _simulate(t, "--dt", "nan"), "dt"),
+    (lambda t: _simulate(t, "--horizon", "inf"), "horizon"),
+    (lambda t: _simulate(t, "--horizon", "-1"), "horizon"),
+    (lambda t: _simulate(t, "--trajectories", "0"), "trajectories"),
+    (lambda t: _conformal(t, "--delta", "2"), "delta"),
+    (lambda t: _conformal(t, "--delta", "-1"), "delta"),
+    (lambda t: _ood_fit(t, "--bins", "0"), "bins"),
+    (lambda t: _ood_fit(t, "--bins", "-3"), "bins"),
+    (_config_file(["train"], "5"), "cfg.json"),
+    (_config_file(["train"], "null"), "cfg.json"),
+    (_config_file(["clf", "train"], "5"), "cfg.json"),
+    (_config_file(["clf", "train"], "null"), "cfg.json"),
+], ids=["dt-0", "dt-nan", "horizon-inf", "horizon-negative", "trajectories-0", "delta-2",
+        "delta-negative", "bins-0", "bins-negative", "train-number", "train-null",
+        "clf-train-number", "clf-train-null"])
+def test_out_of_range_cli_values_exit_2(tmp_path, capsys, argv, named):
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def _model_is_a_list(doc):
@@ -451,9 +526,20 @@ def _extreme_is_nan(doc):
     return doc
 
 
+def _extreme_inside_domain(doc):
+    doc["layers"][0]["features"][0]["hist"]["ood_a"] = 0.5  # on the domain [-1, 1]
+    return doc
+
+
+def _feature_alpha_differs(doc):
+    doc["layers"][1]["features"][0]["hist"]["alpha"] = 0.5  # the adapt block holds 0.001
+    return doc
+
+
 @pytest.mark.parametrize("corrupt", [_model_is_a_list, _adapt_is_a_list, _no_layers,
                                      _layer_is_a_number, _feature_is_a_list,
-                                     _quadratic_features, _extreme_is_nan])
+                                     _quadratic_features, _extreme_is_nan,
+                                     _extreme_inside_domain, _feature_alpha_differs])
 def test_eval_on_malformed_model_json_exits_2(tmp_path, capsys, corrupt):
     from adaptkan.tasks import save_dataset
     path, doc = _saved_model(tmp_path, [2, 3, 1])

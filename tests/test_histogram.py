@@ -15,11 +15,11 @@ DOM2 = (0.0, 1.0, 2)
 DOM4 = (0.0, 1.0, 4)
 
 
-def one(dom, alpha, hist=None, ood=(0.0, 0.0), lo=None, hi=None):
+def one(dom, hist=None, ood=(0.0, 0.0), lo=None, hi=None):
     """One-feature histogram on dom = (a, b, omega) with the given counts and extremes."""
     a, b, omega = dom
     counts = None if hist is None else [[ood[0], *hist, ood[1]]]
-    return FeatureHistogram([a], [b], omega, alpha, counts,
+    return FeatureHistogram([a], [b], omega, counts,
                             [[a if lo is None else lo, b if hi is None else hi]])
 
 
@@ -32,7 +32,7 @@ def bin_counts(samples, dom):
 
 def batch_counts(samples, dom):
     """Raw counts [below a, bins..., above b] of a one-feature batch."""
-    return one(dom, 1.0).batch_counts(np.asarray(samples, dtype=float)[:, None])[0][0]
+    return one(dom).batch_counts(np.asarray(samples, dtype=float)[:, None])[0][0]
 
 
 def total(h):
@@ -54,73 +54,73 @@ def test_create_histogram_examples():
 
 
 def test_constructor_validates_state():
-    FeatureHistogram([0.0, -1.0], [1.0, 1.0], 4, [0.5, 1.0])
-    for args in [([], [], 4, 0.5),                       # no feature
-                 ([0.0], [0.0], 4, 0.5),                 # a == b
-                 ([0.0], [np.inf], 4, 0.5),              # infinite bound
-                 ([0.0], [1.0, 2.0], 4, 0.5),            # bounds of two shapes
-                 ([0.0], [1.0], 0, 0.5),                 # no interval
-                 ([0.0], [1.0], 4, 0.0),                 # alpha out of (0, 1]
-                 ([0.0, 0.0], [1.0, 1.0], 4, [0.5, 1.5]),
-                 ([0.0], [1.0], 4, 0.5, np.zeros((1, 5))),  # counts not (n, omega + 2)
-                 ([0.0], [1.0], 4, 0.5, None, np.zeros((1, 3))),
-                 ([0.0], [1.0], 4, 0.5, [[0.0, 1.0, np.nan, 0.0, 0.0, 0.0]]),
-                 ([0.0], [1.0], 4, 0.5, None, [[np.nan, 1.0]])]:
+    FeatureHistogram([0.0, -1.0], [1.0, 1.0], 4, None, [[-0.5, 1.0], [-1.0, 3.0]])
+    for args in [([], [], 4),                            # no feature
+                 ([0.0], [0.0], 4),                      # a == b
+                 ([0.0], [np.inf], 4),                   # infinite bound
+                 ([0.0], [1.0, 2.0], 4),                 # bounds of two shapes
+                 ([0.0], [1.0], 0),                      # no interval
+                 ([0.0], [1.0], 4, np.zeros((1, 5))),    # counts not (n, omega + 2)
+                 ([0.0], [1.0], 4, None, np.zeros((1, 3))),
+                 ([0.0], [1.0], 4, [[0.0, 1.0, np.nan, 0.0, 0.0, 0.0]]),
+                 ([0.0], [1.0], 4, None, [[np.nan, 1.0]]),
+                 ([-1.0], [1.0], 4, None, [[0.5, 1.0]]),  # extremes inside the bounds
+                 ([0.0, 0.0], [1.0, 1.0], 4, None, [[0.0, 1.0], [0.0, 0.9]])]:
         with pytest.raises(ValueError):
             FeatureHistogram(*args)
 
 
 def test_update_blends_counts():
-    h = one(DOM2, alpha=0.5, hist=[4.0, 0.0])
-    h.update([[0.1], [0.2]])
+    h = one(DOM2, hist=[4.0, 0.0])
+    h.update([[0.1], [0.2]], 0.5)
     np.testing.assert_array_equal(h.hist, [[3.0, 0.0]])
 
 
 def test_update_out_of_domain_bookkeeping():
-    h = one(DOM4, alpha=0.5)
-    h.update([[-0.5], [0.2], [1.5], [0.7]])
+    h = one(DOM4)
+    h.update([[-0.5], [0.2], [1.5], [0.7]], 0.5)
     np.testing.assert_array_equal(h.ood_hist, [[0.5, 0.5]])  # alpha * [1, 1]
     np.testing.assert_array_equal(h.extremes, [[-0.5, 1.5]])
     # extremes are running: a milder batch must not pull them back in
-    h.update([[-0.1], [1.1]])
+    h.update([[-0.1], [1.1]], 0.5)
     np.testing.assert_array_equal(h.extremes, [[-0.5, 1.5]])
 
 
 def test_update_alpha_one_has_no_memory():
-    h = one(DOM4, alpha=1.0, hist=[9.0, 9.0, 9.0, 9.0])
+    h = one(DOM4, hist=[9.0, 9.0, 9.0, 9.0])
     batch = np.array([0.1, 0.3, 0.6, 0.9, 0.95])
-    h.update(batch[:, None])
+    h.update(batch[:, None], 1.0)
     np.testing.assert_array_equal(h.hist[0], bin_counts(batch, DOM4))
 
 
 def test_update_rejects_non_finite():
-    h = one(DOM4, alpha=0.5)
+    h = one(DOM4)
     with pytest.raises(ValueError):
-        h.update([[0.1], [np.nan]])
+        h.update([[0.1], [np.nan]], 0.5)
     with pytest.raises(ValueError):
-        h.update([[np.inf]])
+        h.update([[np.inf]], 0.5)
 
 
 def test_geometric_convergence_identity():
     # repeated updates with one batch close the gap by exactly (1 - alpha)
     # per step; with alpha = 0.5 every operation is exact in binary floats
-    h = one(DOM4, alpha=0.5, hist=[8.0, 0.0, 4.0, 0.0])
+    h = one(DOM4, hist=[8.0, 0.0, 4.0, 0.0])
     batch = np.array([0.1, 0.3, 0.6, 0.9])
     target = bin_counts(batch, DOM4)
     diff0 = h.hist[0] - target
     for t in range(1, 51):
-        h.update(batch[:, None])
+        h.update(batch[:, None], 0.5)
         np.testing.assert_array_equal(h.hist[0] - target, 0.5**t * diff0)
 
 
 def test_geometric_convergence_small_alpha():
     alpha = 1e-3
-    h = one(DOM4, alpha=alpha, hist=[5.0, 1.0, 0.0, 2.0])
+    h = one(DOM4, hist=[5.0, 1.0, 0.0, 2.0])
     batch = np.array([0.05, 0.3, 0.55, 0.8])
     target = bin_counts(batch, DOM4)
     diff0 = np.linalg.norm(h.hist[0] - target)
     for t in range(1, 51):
-        h.update(batch[:, None])
+        h.update(batch[:, None], alpha)
     expected = (1 - alpha) ** 50 * diff0
     assert np.linalg.norm(h.hist[0] - target) == pytest.approx(expected, rel=1e-12)
 
@@ -133,7 +133,7 @@ def test_refit_moves_only_the_features_whose_grid_changes(monkeypatch):
     monkeypatch.setattr(histogram, "_transfer",
                         lambda a, *rest: moved.append(a) or transfer(a, *rest))
     rng = np.random.default_rng(4)
-    h = FeatureHistogram([-1.0, 0.0, 2.0], [1.0, 1.0, 3.0], 5, 0.1,
+    h = FeatureHistogram([-1.0, 0.0, 2.0], [1.0, 1.0, 3.0], 5,
                          counts=rng.uniform(0.0, 2.0, (3, 7)))
     h2 = h.refit([-1.0, 0.25, 2.0], [1.0, 1.0, 3.0], 5)
     assert moved == [0.0]
@@ -144,7 +144,7 @@ def test_refit_moves_only_the_features_whose_grid_changes(monkeypatch):
 
 
 def test_refit_identity_is_noop():
-    h = one(DOM4, alpha=0.1, hist=[1.0, 2.0, 3.0, 4.0], ood=[0.5, 0.25])
+    h = one(DOM4, hist=[1.0, 2.0, 3.0, 4.0], ood=[0.5, 0.25])
     h2 = h.refit(h.a, h.b, h.omega)
     np.testing.assert_allclose(h2.hist, h.hist, atol=1e-15)
     np.testing.assert_allclose(h2.ood_hist, h.ood_hist, atol=1e-15)
@@ -152,7 +152,7 @@ def test_refit_identity_is_noop():
 
 
 def test_refit_stretch_deposits_ood_mass():
-    h = one(DOM4, alpha=0.1, hist=[1.0, 1.0, 1.0, 1.0], ood=[5.0, 0.0], lo=-2.0)
+    h = one(DOM4, hist=[1.0, 1.0, 1.0, 1.0], ood=[5.0, 0.0], lo=-2.0)
     h2 = h.refit([-2.0], [1.0], 4)
     # pre-rescale: interpolating [1,1,1,1] at the new centers (-1.625,
     # -0.875, -0.125, 0.625) against old centers (0.125..0.875) leaves only
@@ -165,7 +165,7 @@ def test_refit_stretch_deposits_ood_mass():
 
 
 def test_refit_shrink_moves_mass_to_ood():
-    h = one(DOM4, alpha=0.1, hist=[0.0, 3.0, 3.0, 0.5])
+    h = one(DOM4, hist=[0.0, 3.0, 3.0, 0.5])
     h2 = h.refit([0.25], [0.75], 4)
     assert h2.ood_hist[0, 1] > 0.0  # the 0.5 in the last old bin went right
     assert total(h2) == pytest.approx(total(h), rel=1e-9)
@@ -175,7 +175,7 @@ def test_refit_conserves_total_mass():
     rng = np.random.default_rng(0)
     for _ in range(30):
         omega = int(rng.integers(2, 20))
-        h = one((-1.0, 1.0, omega), alpha=0.01,
+        h = one((-1.0, 1.0, omega),
                 hist=rng.uniform(0, 10, size=omega),
                 ood=rng.uniform(0, 2, size=2),
                 lo=-1.5, hi=2.0)
@@ -188,23 +188,23 @@ def test_refit_conserves_total_mass():
 
 
 def test_refit_to_more_bins():
-    h = one((0, 1, 3), alpha=0.1, hist=[3.0, 6.0, 3.0])
+    h = one((0, 1, 3), hist=[3.0, 6.0, 3.0])
     h2 = h.refit(h.a, h.b, 12)
     assert h2.hist.shape == (1, 12)
     assert total(h2) == pytest.approx(total(h), rel=1e-12)
 
 
 def test_marginal_prob_examples():
-    h = one((0.0, 1.0, 10), alpha=1.0, hist=np.full(10, 7.0))
+    h = one((0.0, 1.0, 10), hist=np.full(10, 7.0))
     assert marginal_prob(h, 0.55) == pytest.approx(0.1, abs=1e-15)
     assert marginal_prob(h, -0.1) == PROB_FLOOR
-    h2 = one(DOM2, alpha=1.0, hist=[3.0, 1.0])
+    h2 = one(DOM2, hist=[3.0, 1.0])
     assert marginal_prob(h2, 0.9) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_marginal_prob_sums_to_at_most_one():
     rng = np.random.default_rng(1)
-    h = one((-2.0, 2.0, 25), alpha=1.0, hist=rng.uniform(0, 5, size=25))
+    h = one((-2.0, 2.0, 25), hist=rng.uniform(0, 5, size=25))
     edges = np.linspace(-2.0, 2.0, 26)
     reps = (edges[:-1] + edges[1:]) / 2.0
     total_prob = sum(marginal_prob(h, x) for x in reps)
@@ -212,7 +212,7 @@ def test_marginal_prob_sums_to_at_most_one():
 
 
 def test_marginal_prob_empty_histogram_floors():
-    h = one(DOM4, alpha=0.5)
+    h = one(DOM4)
     assert marginal_prob(h, 0.5) == PROB_FLOOR
 
 
@@ -220,13 +220,13 @@ def test_marginal_prob_reads_the_bin_a_count_landed_in():
     # (-1.36 + 2.5) * (50 / 3.8) rounds to just above 15, while
     # (-1.36 + 2.5) / 0.076 rounds to just below it: one bin rule for
     # counting and reading keeps the count where it is read
-    h = one((-2.5, 1.3, 50), alpha=1.0)
-    h.update([[-1.36]])
+    h = one((-2.5, 1.3, 50))
+    h.update([[-1.36]], 1.0)
     assert marginal_prob(h, -1.36) == 1.0
 
 
 def test_marginal_prob_rejects_nan_and_floors_infinities():
-    h = one(DOM4, alpha=1.0, hist=[1.0, 1.0, 1.0, 1.0])
+    h = one(DOM4, hist=[1.0, 1.0, 1.0, 1.0])
     np.testing.assert_array_equal(marginal_prob(h, [-np.inf, np.inf]), PROB_FLOOR)
     with pytest.raises(ValueError):
         marginal_prob(h, np.nan)
@@ -242,8 +242,8 @@ def test_create_histogram_counts_with_histogram_bin():
         inside = x[(x >= a) & (x <= b)]
         expected = np.bincount(histogram_bin(inside, a, b, omega), minlength=omega)
         np.testing.assert_array_equal(expected, batch_counts(inside, dom)[1:-1])
-        h = one(dom, alpha=1.0)
-        h.update(x[:, None])
+        h = one(dom)
+        h.update(x[:, None], 1.0)
         np.testing.assert_array_equal(h.hist[0], expected)
         np.testing.assert_array_equal(h.ood_hist[0], [(x < a).sum(), (x > b).sum()])
 
@@ -272,17 +272,17 @@ def test_histogram_bin_clamps_far_values_without_warning():
 def test_update_alpha_one_idempotent_with_create():
     rng = np.random.default_rng(2)
     batch = rng.uniform(-0.5, 1.5, size=64)
-    h = one(DOM4, alpha=1.0)
-    h.update(batch[:, None])
+    h = one(DOM4)
+    h.update(batch[:, None], 1.0)
     inside = batch[(batch >= 0.0) & (batch <= 1.0)]
     np.testing.assert_array_equal(h.hist[0], bin_counts(inside, DOM4))
 
 
 def test_invariants_after_updates():
     rng = np.random.default_rng(3)
-    h = one(DOM4, alpha=0.05)
+    h = one(DOM4)
     for _ in range(40):
-        h.update(rng.normal(0.4, 0.8, size=(32, 1)))
+        h.update(rng.normal(0.4, 0.8, size=(32, 1)), 0.05)
     assert (h.hist >= 0).all() and (h.ood_hist >= 0).all()
     assert (h.extremes[:, 0] <= h.a).all()
     assert (h.extremes[:, 1] >= h.b).all()

@@ -177,7 +177,7 @@ def make_net(shape, omega, mode="kan", seed=0):
         for j in range(layer.n):
             a.append(rng.uniform(-1.5, 0.0))
             b.append(a[-1] + rng.uniform(0.5, 2.5))
-        layer.hist = FeatureHistogram(a, b, omega, layer.hist.alpha)
+        layer.hist = FeatureHistogram(a, b, omega)
         if layer.use_base:
             layer.w_s[...] = rng.uniform(0.5, 1.5, layer.w_s.shape)
             layer.w_b[...] = rng.uniform(-1.0, 1.0, layer.w_b.shape)

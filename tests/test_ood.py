@@ -36,7 +36,6 @@ def test_fit_degenerate_feature_widens_bounds():
     assert scorer.lo[0] == pytest.approx(2.0 - 1e-6)
     assert scorer.hi[0] == pytest.approx(2.0 + 1e-6)
     assert scorer.counts.sum() == 5
-    assert scorer.bounds_from_data
     with pytest.raises(ValueError):  # too large to widen: lo == hi would remain
         OodScorer.fit(np.full((5, 1), 3e10), bins=4)
 
@@ -140,20 +139,22 @@ def test_save_load_roundtrip_keeps_the_file_format(tmp_path):
     scorer = OodScorer.fit(rng.normal(size=(300, 3)), bins=17, msp_lambda=0.25)
     path = tmp_path / "scorer.json"
     scorer.save(path)
-    # the document the CLI has always written
+    # the document the CLI has always written, less the unread "bounds_from_data"
     doc = {"bins": 17, "lo": scorer.lo.tolist(), "hi": scorer.hi.tolist(),
-           "counts": scorer.counts.tolist(), "msp_lambda": 0.25, "bounds_from_data": True}
+           "counts": scorer.counts.tolist(), "msp_lambda": 0.25}
     assert path.read_text() == json.dumps(doc, indent=1)
-    loaded = OodScorer.load(path)
-    for name in ("lo", "hi", "counts"):
-        np.testing.assert_array_equal(getattr(loaded, name), getattr(scorer, name))
-    assert (loaded.msp_lambda, loaded.bounds_from_data) == (0.25, True)
     Q = rng.normal(size=(40, 3))
-    np.testing.assert_array_equal(loaded.score_hist(Q), scorer.score_hist(Q))
-    del doc["msp_lambda"], doc["bounds_from_data"]
+    # files that still hold the key load and score as before
+    for extra in ({}, {"bounds_from_data": True}):
+        path.write_text(json.dumps({**doc, **extra}, indent=1))
+        loaded = OodScorer.load(path)
+        for name in ("lo", "hi", "counts"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(scorer, name))
+        assert loaded.msp_lambda == 0.25
+        np.testing.assert_array_equal(loaded.score_hist(Q), scorer.score_hist(Q))
+    del doc["msp_lambda"]
     path.write_text(json.dumps(doc))
-    loaded = OodScorer.load(path)
-    assert (loaded.msp_lambda, loaded.bounds_from_data) == (0.1, False)
+    assert OodScorer.load(path).msp_lambda == 0.1
 
 
 def test_scorer_rejects_mismatched_widths():
