@@ -23,7 +23,7 @@ scorer = OodScorer.fit(fit, bins=200)
 id_scores = scorer.score_hist(id_query)
 ood_scores = scorer.score_hist(ood_query)
 
-print(f"fitted {scorer.n_features} histograms x {scorer.n_bins} bins "
+print(f"fitted {scorer.hist.a.size} histograms x {scorer.hist.omega} bins "
       f"on each feature's min/max over the fit data")
 print(f"mean ID score : {id_scores.mean():+.3f}")
 print(f"mean OOD score: {ood_scores.mean():+.3f}   (lower = more OOD)")

@@ -11,7 +11,7 @@ running extremes instead (the stretch check runs last and wins).
 with one refit, keeping the number of grid intervals fixed.
 
 A manual baseline is also provided that simply snaps every domain to the
-min/max of a single batch.
+min/max of a single batch, with the histogram of that batch alone.
 """
 
 from __future__ import annotations
@@ -188,17 +188,10 @@ def manual_adapt(hist: FeatureHistogram, coef: np.ndarray, batch, cfg: AdaptConf
     """Force every feature's domain to the min/max of one batch and refit.
 
     ``batch`` is a layer's (B, n) inputs and ``coef`` (n, m, P) the weight
-    rows of its n features.  Each histogram is rebuilt from the batch alone
-    (no memory).  A degenerate feature (max == min) is widened symmetrically
-    by 1e-6.  Returns (coef, hist).
+    rows of its n features.  The histogram is rebuilt from the batch alone
+    (no memory) by :meth:`FeatureHistogram.from_batch`, which widens a
+    degenerate feature (max == min) by 1e-6 on each side.  Returns (coef, hist).
     """
-    Z = np.asarray(batch, dtype=float)
-    if not np.all(np.isfinite(Z)):
-        raise ValueError("non-finite values in manual-adapt batch")
-    lo, hi = Z.min(axis=0), Z.max(axis=0)
-    flat = lo == hi
-    new_hist = FeatureHistogram(np.where(flat, lo - 1e-6, lo), np.where(flat, hi + 1e-6, hi),
-                                hist.omega)
-    new_hist.counts[...] = new_hist.batch_counts(Z)[0]
+    new_hist = FeatureHistogram.from_batch(batch, hist.omega)
     new_coef = _refit_weights(coef, hist.a, hist.b, new_hist.a, new_hist.b, hist.omega, cfg)
     return new_coef, new_hist

@@ -38,6 +38,8 @@ def dynamics_f(X) -> np.ndarray:
 
 
 DYNAMICS_G = np.array([1.0, 0.0])
+# Largest run simulate accepts: RK4 steps, and rows (steps + 1) * K of a path
+MAX_SIM_STEPS, MAX_PATH_ROWS = 10**6, 10**7
 
 
 def analytical_clf(X):
@@ -93,16 +95,22 @@ def simulate(x0, u_fn=None, horizon: float = 10.0, dt: float = 0.01,
     the current stage state X and its drift f, which each stage computes
     once.  Trajectories that go non-finite are frozen and flagged;
     their final distance is reported as infinity downstream.  ``horizon``
-    and ``dt`` must be finite and > 0.  Returns (final_states, ok_mask) or
-    (final_states, ok_mask, path) where path has shape (steps + 1, K, 2).
+    and ``dt`` must be finite and > 0, with steps = round(horizon / dt) in [1,
+    MAX_SIM_STEPS] and a path of at most MAX_PATH_ROWS rows.  Returns
+    (final_states, ok_mask) or (final_states, ok_mask, path) where path has
+    shape (steps + 1, K, 2).
     """
     for name, value in (("horizon", horizon), ("dt", dt)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    steps = round(min(horizon / dt, MAX_SIM_STEPS + 1))  # the ratio may overflow to inf
+    if not 1 <= steps <= MAX_SIM_STEPS:
+        raise ValueError(f"horizon / dt = {horizon / dt!r} must round to 1..{MAX_SIM_STEPS} steps")
     X = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
     K = X.shape[0]
+    if return_path and (steps + 1) * K > MAX_PATH_ROWS:
+        raise ValueError(f"a path of {steps + 1} x {K} trajectory rows exceeds {MAX_PATH_ROWS}")
     ok = np.ones(K, dtype=bool)
-    steps = int(round(horizon / dt))
 
     def rhs(S):
         dS = dynamics_f(S)

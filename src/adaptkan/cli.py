@@ -141,7 +141,7 @@ def cmd_ood_fit(args) -> int:
     X = read_table(args.features)
     scorer = OodScorer.fit(X, bins=args.bins)
     scorer.save(args.out)
-    print(f"fitted {scorer.n_features} feature histograms with {scorer.n_bins} bins")
+    print(f"fitted {scorer.hist.a.size} feature histograms with {scorer.hist.omega} bins")
     return EXIT_OK
 
 

@@ -20,8 +20,9 @@ EMA at the rate its caller passes (``AdaptConfig.alpha`` in a network), and
 moves the domain of any of its features with one
 :meth:`FeatureHistogram.refit`.  A single feature is the n = 1 layer.
 
-Training and OOD histograms alike count and read bins by one rule,
-:func:`histogram_bin`, so a value is read back from the bin it was counted in.
+OOD scorers hold this type too, built by :meth:`FeatureHistogram.from_batch`
+and read by :meth:`FeatureHistogram.probs`.  All count and read bins by one
+rule, :func:`histogram_bin`, so a value is read back from the bin it was counted in.
 """
 
 from __future__ import annotations
@@ -48,23 +49,6 @@ def histogram_bin(x, a, b, omega: int):
     return u.astype(np.int64)
 
 
-def floored_prob(x, counts, a, b) -> np.ndarray:
-    """Share of its histogram's count in the bin holding each query, floored
-    at PROB_FLOOR, which queries outside [a, b] (+-inf too) and queries of an
-    empty histogram get.  ``counts`` (n, omega) holds n histograms over [a, b]
-    (scalars or (n,) arrays) for the last axis of ``x`` (..., n).  A NaN query
-    raises ValueError."""
-    x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
-        raise ValueError("NaN in histogram query")
-    n, omega = counts.shape
-    totals = counts.sum(axis=1, keepdims=True)
-    probs = np.divide(counts, totals, out=np.zeros(counts.shape), where=totals > 0.0)
-    idx = histogram_bin(np.clip(x, a, b), a, b, omega) + omega * np.arange(n)
-    p = np.maximum(probs.ravel()[idx], PROB_FLOOR)
-    return np.where((x >= a) & (x <= b), p, PROB_FLOOR)
-
-
 class FeatureHistogram:
     """EMA bin counts over the grid domain of each of a layer's n input features.
 
@@ -72,8 +56,8 @@ class FeatureHistogram:
     arrays, described in the module docstring.  By default the counts are
     zero and the extremes sit at the bounds, so an untouched side never
     moves the domain.  The bounds must be finite with a < b, omega >= 1, the
-    counts and extremes finite, and the extremes must bracket the bounds
-    (extremes[:, 0] <= a, extremes[:, 1] >= b).
+    counts finite and non-negative, the extremes finite, and the extremes
+    must bracket the bounds (extremes[:, 0] <= a, extremes[:, 1] >= b).
 
     hist : (n, omega) view of the EMA counts over the in-domain bins.
     ood_hist : (n, 2) view of the EMA counts of data below a / above b.
@@ -101,8 +85,26 @@ class FeatureHistogram:
                 raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"non-finite {name}")
+        if (self.counts < 0.0).any():
+            raise ValueError("negative counts")
         if not ((self.extremes[:, 0] <= self.a).all() and (self.extremes[:, 1] >= self.b).all()):
             raise ValueError("extremes must bracket the domain bounds")
+
+    @classmethod
+    def from_batch(cls, batch, omega: int) -> "FeatureHistogram":
+        """Histogram of one finite batch (B, n) alone: each feature's bounds are its
+        min/max (a constant feature's widened by 1e-6 a side), counts the batch's."""
+        Z = np.asarray(batch, dtype=float)
+        if not np.isfinite(Z).all():
+            raise ValueError("non-finite values in histogram batch")
+        lo, hi = Z.min(axis=0), Z.max(axis=0)
+        flat = lo == hi
+        lo, hi = np.where(flat, lo - 1e-6, lo), np.where(flat, hi + 1e-6, hi)
+        if not (lo < hi).all():  # beyond about 1.7e10, 1e-6 is below half an ulp
+            raise ValueError("a constant feature is too large to widen by 1e-6")
+        h = cls(lo, hi, omega)
+        h.counts[...] = h.batch_counts(Z)[0]
+        return h
 
     @property
     def d(self) -> np.ndarray:
@@ -116,6 +118,20 @@ class FeatureHistogram:
     @property
     def ood_hist(self) -> np.ndarray:
         return self.counts[:, ::self.omega + 1]
+
+    def probs(self, x) -> np.ndarray:
+        """Share of each feature's in-domain count in the bin holding each query
+        x (..., n), floored at PROB_FLOOR, which queries outside [a, b] (+-inf
+        too) and features with no count get.  A NaN query raises ValueError."""
+        x = np.asarray(x, dtype=float)
+        if np.isnan(x).any():
+            raise ValueError("NaN in histogram query")
+        hist, a, b, omega = self.hist, self.a, self.b, self.omega
+        totals = hist.sum(axis=1, keepdims=True)
+        probs = np.divide(hist, totals, out=np.zeros(hist.shape), where=totals > 0.0)
+        idx = histogram_bin(np.clip(x, a, b), a, b, omega) + omega * np.arange(a.size)
+        p = np.maximum(probs.ravel()[idx], PROB_FLOOR)
+        return np.where((x >= a) & (x <= b), p, PROB_FLOOR)
 
     def batch_counts(self, batch):
         """Raw counts (n, omega+2) of a finite batch (B, n), laid out like

@@ -1,12 +1,12 @@
 """Post-hoc out-of-distribution scoring from per-feature histograms.
 
-A scorer holds one fixed histogram per input feature, counted and read with
-the training histograms' bin rule (:func:`histogram.histogram_bin`).  The
-score of a query is the mean over features of the log normalised bin value
-at that feature's coordinate; coordinates outside a feature's fitted range,
-or in empty bins, contribute the floored probability.  Lower scores mean more likely OOD.
-The score can optionally be fused with the log maximum softmax probability
-of a classifier's logits.
+A scorer holds one fixed :class:`histogram.FeatureHistogram`, the training
+layers' histogram type, built from its fit data alone.  The score of a query
+is the mean over features of the log normalised bin value at that feature's
+coordinate; coordinates outside a feature's fitted range, or in empty bins,
+contribute the floored probability.  Lower scores mean more likely OOD.  The
+score can optionally be fused with the log maximum softmax probability of a
+classifier's logits.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .histogram import floored_prob, histogram_bin
+from .histogram import FeatureHistogram
 from .optim import require_count
 
 DEFAULT_BINS_HIST = 200      # histogram-only scoring
@@ -23,32 +23,24 @@ DEFAULT_MSP_LAMBDA = 0.1
 
 
 class OodScorer:
-    """Immutable per-feature histogram scorer."""
+    """Immutable scorer: a :class:`FeatureHistogram` ``hist``, each feature with a
+    positive in-domain count, and a finite fusion weight ``msp_lambda``."""
 
-    def __init__(self, lo, hi, counts, msp_lambda: float = DEFAULT_MSP_LAMBDA):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        self.counts = np.asarray(counts, dtype=float)
+    def __init__(self, hist: FeatureHistogram, msp_lambda: float = DEFAULT_MSP_LAMBDA):
+        self.hist = hist
         self.msp_lambda = float(msp_lambda)
-        if self.counts.ndim != 2:
-            raise ValueError("counts must be (n_features, n_bins)")
-        if not (np.isfinite(self.counts).all() and (self.counts >= 0.0).all()):
-            raise ValueError("counts must be finite and non-negative")
-        if np.any(self.counts.sum(axis=1) <= 0):
+        if not np.isfinite(self.msp_lambda):
+            raise ValueError(f"msp_lambda must be finite, got {msp_lambda!r}")
+        if (hist.hist.sum(axis=1) <= 0.0).any():
             raise ValueError("every feature histogram needs positive total count")
-        if self.lo.shape != (self.n_features,) or self.hi.shape != (self.n_features,):
-            raise ValueError(f"lo and hi need one bound per feature ({self.n_features})")
-        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()
-                and np.all(self.lo < self.hi)):
-            raise ValueError("every feature needs finite lo < hi")
 
     def save(self, path) -> None:
         """Write the scorer as JSON; :meth:`load` reads it back bitwise."""
         doc = {
-            "bins": self.n_bins,
-            "lo": self.lo.tolist(),
-            "hi": self.hi.tolist(),
-            "counts": self.counts.tolist(),
+            "bins": self.hist.omega,
+            "lo": self.hist.a.tolist(),
+            "hi": self.hist.b.tolist(),
+            "counts": self.hist.hist.tolist(),
             "msp_lambda": self.msp_lambda,
         }
         with open(path, "w") as fh:
@@ -61,47 +53,28 @@ class OodScorer:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError(f"scorer file {path} does not hold a JSON object")
-        return cls(doc["lo"], doc["hi"], doc["counts"],
-                   msp_lambda=doc.get("msp_lambda", DEFAULT_MSP_LAMBDA))
-
-    @property
-    def n_features(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.counts.shape[1]
+        counts = np.array(doc["counts"], dtype=float)
+        if counts.ndim != 2:
+            raise ValueError("counts must be (n_features, n_bins)")
+        # zero tallies below lo and above hi: a scorer counts only its fit data
+        hist = FeatureHistogram(doc["lo"], doc["hi"], counts.shape[1],
+                                np.pad(counts, ((0, 0), (1, 1))))
+        return cls(hist, msp_lambda=doc.get("msp_lambda", DEFAULT_MSP_LAMBDA))
 
     @classmethod
     def fit(cls, features, bins: int = DEFAULT_BINS_HIST,
             msp_lambda: float = DEFAULT_MSP_LAMBDA) -> "OodScorer":
-        """One-pass histograms over a (N, n_features) matrix.
-
-        Bounds are each feature's min/max over the fit data; a degenerate
-        (constant) feature is widened by 1e-6 on each side.  ``bins`` must be
-        an integer >= 1.
-        """
+        """The :meth:`FeatureHistogram.from_batch` histogram of a (N, n_features)
+        matrix, with ``bins`` (an integer >= 1) bins per feature."""
         require_count("bins", bins)
-        X = np.atleast_2d(np.asarray(features, dtype=float))
-        if not np.all(np.isfinite(X)):
-            raise ValueError("non-finite values in fit features")
-        lo, hi = X.min(axis=0), X.max(axis=0)
-        degenerate = lo == hi
-        lo = np.where(degenerate, lo - 1e-6, lo)
-        hi = np.where(degenerate, hi + 1e-6, hi)
-        if not np.all(lo < hi):  # beyond about 1.7e10, 1e-6 is below half an ulp
-            raise ValueError("a constant feature is too large to widen by 1e-6")
-        n = X.shape[1]
-        idx = histogram_bin(X, lo, hi, bins) + bins * np.arange(n)
-        counts = np.bincount(idx.ravel(), minlength=n * bins).reshape(n, bins)
-        return cls(lo, hi, counts, msp_lambda=msp_lambda)
+        return cls(FeatureHistogram.from_batch(np.atleast_2d(features), bins), msp_lambda)
 
     def feature_probs(self, X) -> np.ndarray:
         """Normalised bin values per (sample, feature), floored at PROB_FLOOR."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.n_features:
-            raise ValueError(f"{X.shape[1]} features for a scorer of {self.n_features}")
-        return floored_prob(X, self.counts, self.lo, self.hi)
+        if X.shape[1] != self.hist.a.size:
+            raise ValueError(f"{X.shape[1]} features for a scorer of {self.hist.a.size}")
+        return self.hist.probs(X)
 
     def score_hist(self, X) -> np.ndarray:
         """Mean log marginal bin probability per sample; lower = more OOD."""

@@ -2,6 +2,7 @@
 
 import json
 import math
+import signal
 import warnings
 
 import numpy as np
@@ -462,12 +463,20 @@ def _config_file(command, text):
     return argv
 
 
+class _StillRunning(BaseException):
+    """Raised by the alarm that cuts off a command still running."""
+
+
 @pytest.mark.parametrize("argv,named", [
     (lambda t: _simulate(t, "--dt", "0"), "dt"),
     (lambda t: _simulate(t, "--dt", "nan"), "dt"),
     (lambda t: _simulate(t, "--horizon", "inf"), "horizon"),
     (lambda t: _simulate(t, "--horizon", "-1"), "horizon"),
     (lambda t: _simulate(t, "--trajectories", "0"), "trajectories"),
+    (lambda t: _simulate(t, "--horizon", "1e300"), "horizon"),
+    (lambda t: _simulate(t, "--horizon", "0.001"), "horizon"),
+    (lambda t: _simulate(t, "--trajectories", "10", "--horizon", "1e4",
+                         "--paths-out", str(t / "p.csv")), "path"),
     (lambda t: _conformal(t, "--delta", "2"), "delta"),
     (lambda t: _conformal(t, "--delta", "-1"), "delta"),
     (lambda t: _ood_fit(t, "--bins", "0"), "bins"),
@@ -476,11 +485,22 @@ def _config_file(command, text):
     (_config_file(["train"], "null"), "cfg.json"),
     (_config_file(["clf", "train"], "5"), "cfg.json"),
     (_config_file(["clf", "train"], "null"), "cfg.json"),
-], ids=["dt-0", "dt-nan", "horizon-inf", "horizon-negative", "trajectories-0", "delta-2",
-        "delta-negative", "bins-0", "bins-negative", "train-number", "train-null",
-        "clf-train-number", "clf-train-null"])
+], ids=["dt-0", "dt-nan", "horizon-inf", "horizon-negative", "trajectories-0",
+        "steps-1e302", "steps-0", "path-rows", "delta-2", "delta-negative", "bins-0",
+        "bins-negative", "train-number", "train-null", "clf-train-number", "clf-train-null"])
 def test_out_of_range_cli_values_exit_2(tmp_path, capsys, argv, named):
-    assert main(argv(tmp_path)) == 2
+    # a simulation the checks fail to refuse would run for hours: cut it off
+    def cut(signum, frame):
+        raise _StillRunning
+
+    old = signal.signal(signal.SIGALRM, cut)
+    signal.setitimer(signal.ITIMER_REAL, 30.0)
+    try:
+        code = main(argv(tmp_path))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and named in err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -531,6 +551,16 @@ def _extreme_inside_domain(doc):
     return doc
 
 
+def _negative_bin_count(doc):
+    doc["layers"][0]["features"][0]["hist"]["hist"][0] = -5.0
+    return doc
+
+
+def _negative_tally(doc):
+    doc["layers"][0]["features"][0]["hist"]["ood_hist"][0] = -1.0
+    return doc
+
+
 def _feature_alpha_differs(doc):
     doc["layers"][1]["features"][0]["hist"]["alpha"] = 0.5  # the adapt block holds 0.001
     return doc
@@ -539,7 +569,8 @@ def _feature_alpha_differs(doc):
 @pytest.mark.parametrize("corrupt", [_model_is_a_list, _adapt_is_a_list, _no_layers,
                                      _layer_is_a_number, _feature_is_a_list,
                                      _quadratic_features, _extreme_is_nan,
-                                     _extreme_inside_domain, _feature_alpha_differs])
+                                     _extreme_inside_domain, _feature_alpha_differs,
+                                     _negative_bin_count, _negative_tally])
 def test_eval_on_malformed_model_json_exits_2(tmp_path, capsys, corrupt):
     from adaptkan.tasks import save_dataset
     path, doc = _saved_model(tmp_path, [2, 3, 1])
@@ -585,10 +616,15 @@ def _scorer_infinite_lo(doc):
     return doc
 
 
+def _scorer_nan_lambda(doc):
+    doc["msp_lambda"] = math.nan
+    return doc
+
+
 @pytest.mark.parametrize("corrupt", [_scorer_is_a_list, _scorer_without_counts,
                                      _scorer_lo_not_a_list, _scorer_empty_range,
                                      _scorer_nan_counts, _scorer_negative_counts,
-                                     _scorer_infinite_lo])
+                                     _scorer_infinite_lo, _scorer_nan_lambda])
 def test_ood_score_on_malformed_scorer_json_exits_2(tmp_path, capsys, corrupt):
     fit = tmp_path / "fit.csv"
     write_features(fit, np.random.default_rng(11).normal(size=(100, 2)))

@@ -1,7 +1,7 @@
 """EMA histogram updates, refits, and marginal probabilities.
 
 Single features are n = 1 layers: ``one`` builds one from its bin and tally
-counts, and ``marginal_prob`` reads it through ``floored_prob``.
+counts, and ``marginal_prob`` reads it through ``FeatureHistogram.probs``.
 """
 
 import warnings
@@ -9,7 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from adaptkan.histogram import PROB_FLOOR, FeatureHistogram, floored_prob, histogram_bin
+from adaptkan.adapt import AdaptConfig, manual_adapt
+from adaptkan.histogram import PROB_FLOOR, FeatureHistogram, histogram_bin
+from adaptkan.ood import OodScorer
 
 DOM2 = (0.0, 1.0, 2)
 DOM4 = (0.0, 1.0, 4)
@@ -42,7 +44,7 @@ def total(h):
 
 def marginal_prob(h, x):
     """Normalised bin value of a one-feature histogram at x."""
-    p = floored_prob(np.asarray(x, dtype=float)[..., None], h.hist, h.a, h.b)[..., 0]
+    p = h.probs(np.asarray(x, dtype=float)[..., None])[..., 0]
     return float(p) if p.ndim == 0 else p
 
 
@@ -286,3 +288,29 @@ def test_invariants_after_updates():
     assert (h.hist >= 0).all() and (h.ood_hist >= 0).all()
     assert (h.extremes[:, 0] <= h.a).all()
     assert (h.extremes[:, 1] >= h.b).all()
+
+
+def test_one_batch_histogram_is_one_rule_for_snaps_and_scorers():
+    rng = np.random.default_rng(5)
+    ties = np.round(rng.uniform(-2.0, 2.0, size=(500, 4)), 1)
+    flat = rng.normal(size=(64, 3))
+    flat[:, 1] = 0.75
+    cfg = AdaptConfig()
+    for Z in (rng.normal(size=(300, 2)), ties, flat):
+        n = Z.shape[1]
+        h = FeatureHistogram.from_batch(Z, 7)
+        lo, hi = Z.min(axis=0), Z.max(axis=0)
+        np.testing.assert_array_equal(h.a, np.where(lo == hi, lo - 1e-6, lo))
+        np.testing.assert_array_equal(h.b, np.where(lo == hi, hi + 1e-6, hi))
+        np.testing.assert_array_equal(h.hist.sum(axis=1), len(Z))
+        np.testing.assert_array_equal(h.ood_hist, 0.0)
+        snap = manual_adapt(FeatureHistogram(np.full(n, -1.0), np.ones(n), 7),
+                            np.zeros((n, 1, 10)), Z, cfg)[1]
+        for other in (snap, OodScorer.fit(Z, bins=7).hist):
+            for name in ("a", "b", "counts", "extremes"):
+                np.testing.assert_array_equal(getattr(other, name), getattr(h, name))
+    big = np.full((5, 1), 3e10)
+    with pytest.raises(ValueError, match="too large to widen"):
+        manual_adapt(one(DOM4), np.zeros((1, 1, 7)), big, cfg)
+    with pytest.raises(ValueError, match="too large to widen"):
+        OodScorer.fit(big, bins=4)
