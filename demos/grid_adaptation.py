@@ -22,23 +22,28 @@ coef = rng.standard_normal((1, 1, hist.omega + 3))
 print(f"shrink threshold tau = {shrink_threshold(cfg):.4f}")
 print(f"start: domain [{hist.a[0]:+.3f}, {hist.b[0]:+.3f}]")
 
+
+def observe(step, hist, coef, batch):
+    """One histogram update, then the move to the decided bounds, if any."""
+    hist.update(batch, cfg.alpha)
+    a, b = decide(hist, cfg)
+    # a stretch moves a bound out to the extremes, a shrink moves one in
+    kind = "stretch" if a[0] < hist.a[0] or b[0] > hist.b[0] else "shrink"
+    coef, hist, events = apply_adapt(hist, coef, a, b, cfg)
+    if events:
+        print(f"step {step:3d}: {kind:7s} -> [{hist.a[0]:+.3f}, {hist.b[0]:+.3f}]")
+    return hist, coef
+
+
 # Phase 1: the data slowly drifts right, out of the initial domain.
 print("\n-- drifting stream --")
 for step in range(60):
-    hist.update(rng.normal(0.5 + 0.05 * step, 0.4, size=(64, 1)), cfg.alpha)
-    decision = decide(hist, cfg).get(0)
-    if decision and decision.kind != "none":
-        coef, hist, _ = apply_adapt(hist, coef, {0: decision}, cfg)
-        print(f"step {step:3d}: {decision.kind:7s} -> [{hist.a[0]:+.3f}, {hist.b[0]:+.3f}]")
+    hist, coef = observe(step, hist, coef, rng.normal(0.5 + 0.05 * step, 0.4, size=(64, 1)))
 
 # Phase 2: the data settles in a narrow band; stale edges get pruned.
 print("\n-- settled stream --")
 for step in range(200):
-    hist.update(rng.normal(2.0, 0.3, size=(64, 1)), cfg.alpha)
-    decision = decide(hist, cfg).get(0)
-    if decision and decision.kind != "none":
-        coef, hist, _ = apply_adapt(hist, coef, {0: decision}, cfg)
-        print(f"step {step:3d}: {decision.kind:7s} -> [{hist.a[0]:+.3f}, {hist.b[0]:+.3f}]")
+    hist, coef = observe(step, hist, coef, rng.normal(2.0, 0.3, size=(64, 1)))
 
 print(f"\nfinal domain [{hist.a[0]:+.3f}, {hist.b[0]:+.3f}] "
       f"around data mean 2.0 +/- 0.3")

@@ -8,7 +8,7 @@ with grid refinement, symbolic-regression data generators, and a
 control-Lyapunov learning/evaluation pipeline with conformal statistics.
 """
 
-from .adapt import AdaptConfig, Decision, apply_adapt, decide, manual_adapt, shrink_threshold
+from .adapt import AdaptConfig, apply_adapt, decide, manual_adapt, shrink_threshold
 from .clf import (
     ClfLossConfig,
     ConformalReport,

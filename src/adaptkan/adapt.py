@@ -6,9 +6,10 @@ shrink threshold, built from the EMA rate ``AdaptConfig.alpha``, the domain
 contracts to the span of bins still above it; if an out-of-domain tally has
 grown past the configured stretch threshold, the domain expands to the
 running extremes instead (the stretch check runs last and wins).
-:func:`decide` returns the decisions of the features that fire, and
-:func:`apply_adapt` refits their weight rows and moves the layer's histogram
-with one refit, keeping the number of grid intervals fixed.
+:func:`decide` returns the bounds every feature should have, and
+:func:`apply_adapt` refits the weight rows of the features whose bounds
+differ and moves the layer's histogram with one refit, keeping the number of
+grid intervals fixed.
 
 A manual baseline is also provided that simply snaps every domain to the
 min/max of a single batch, with the histogram of that batch alone.
@@ -66,16 +67,6 @@ class AdaptConfig:
             raise ValueError(f"malformed adapt block: {exc}") from None
 
 
-@dataclass
-class Decision:
-    """Outcome of one adaptation check: kind is 'none', 'shrink' or 'stretch'."""
-
-    kind: str
-    a: float | None = None
-    b: float | None = None
-    note: str = ""
-
-
 def shrink_threshold(cfg: AdaptConfig, hist: np.ndarray | None = None):
     """Stale-bin threshold, from the EMA rate ``cfg.alpha``.
 
@@ -110,18 +101,17 @@ def _stretch_triggers(hist: np.ndarray, ood: np.ndarray, edges: np.ndarray,
     return ood > thr[..., None]
 
 
-def decide(h: FeatureHistogram, cfg: AdaptConfig) -> dict:
-    """Pure adaptation decisions for every feature of a layer's histogram.
+def decide(h: FeatureHistogram, cfg: AdaptConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Pure adaptation decision for every feature of a layer's histogram: the
+    bounds (a, b), each (n,), the features should have.
 
-    Shrink fires when an edge bin and its out-of-domain tally are both at or
-    below the shrink threshold; the new bounds are the outermost bin edges
-    whose bins still exceed it.  The stretch check is evaluated afterwards
-    and overrides a shrink, expanding to the recorded extremes on both
-    sides.  Stale and stretching features are found with masks over all
-    features at once, and only they are examined one by one.
-
-    Returns {feature index: Decision} holding each shrink, each stretch and
-    each 'none' that carries a note; every other feature keeps its domain.
+    Shrink fires on a side whose edge bin and out-of-domain tally are both at
+    or below the shrink threshold tau; that side moves to the outer edge
+    ``k * h.d + h.a`` of the outermost bin still above tau, the value
+    ``np.linspace(a, b, omega + 1)[k]`` gives.  A feature with no bin above
+    tau keeps its bounds.  The stretch check is evaluated afterwards and
+    overrides a shrink, expanding to the recorded extremes on both sides.
+    A feature that neither shrinks nor stretches keeps its bounds bitwise.
     """
     hist, ood = h.hist, h.ood_hist
     # (1,) under the fixed rule, (n, 1) under the relative one
@@ -130,28 +120,17 @@ def decide(h: FeatureHistogram, cfg: AdaptConfig) -> dict:
     # [left, right] per feature
     stale = np.maximum(ood, edges) <= tau
     stretch = _stretch_triggers(hist, ood, edges, cfg)
-    fire = stale | stretch
-    decisions = {}
-    if not fire.any():
-        return decisions
-    tau = np.broadcast_to(tau, (len(hist), 1))
-    for j in np.flatnonzero(fire.any(axis=1)).tolist():
-        if stretch[j].any():
-            lo, hi = h.extremes[j].tolist()
-            decisions[j] = Decision("stretch", lo, hi)
-            continue
-        keep = np.flatnonzero(hist[j] > tau[j])
-        if len(keep) == 0:
-            decisions[j] = Decision(
-                "none", note="no bin above shrink threshold; domain would collapse")
-            continue
-        a, b = h.a[j], h.b[j]
-        grid = np.linspace(a, b, h.omega + 1)
-        new_a = grid[keep[0]] if stale[j, 0] else a
-        new_b = grid[keep[-1] + 1] if stale[j, 1] else b
-        if new_a != a or new_b != b:
-            decisions[j] = Decision("shrink", float(new_a), float(new_b))
-    return decisions
+    if not (stale | stretch).any():
+        return h.a.copy(), h.b.copy()
+    above = hist > tau
+    # edge indices before the first and after the last bin above tau; a stale
+    # side's edge bin is not above tau, so its index lies inside (0, omega)
+    k = np.stack([above.argmax(axis=1), h.omega - above[:, ::-1].argmax(axis=1)], axis=-1)
+    stale &= above.any(axis=1, keepdims=True)
+    bounds = np.stack([h.a, h.b], axis=-1)
+    shrunk = np.where(stale, k * h.d[:, None] + h.a[:, None], bounds)
+    a, b = np.where(stretch.any(axis=1, keepdims=True), h.extremes, shrunk).T
+    return a, b
 
 
 def _refit_weights(coef, a, b, new_a, new_b, omega: int, cfg: AdaptConfig):
@@ -162,26 +141,23 @@ def _refit_weights(coef, a, b, new_a, new_b, omega: int, cfg: AdaptConfig):
     return refit_greville(coef, a, b, new_a, new_b, omega, omega)
 
 
-def apply_adapt(hist: FeatureHistogram, coef: np.ndarray, decisions: dict, cfg: AdaptConfig):
-    """Apply a layer's decisions to its histogram and weights (n, m, P).
+def apply_adapt(hist: FeatureHistogram, coef: np.ndarray, a, b, cfg: AdaptConfig):
+    """Move a layer's histogram and weights (n, m, P) onto the bounds a, b (n,).
 
-    The interval count stays fixed.  The weight rows of the features that
-    shrink or stretch are refit onto their new bounds with one refit, and
-    the histogram is transferred with one refit, which widens the extremes
-    to the new bounds: after a stretch to the extremes they equal them.
-    Returns (coef, hist, events), events being the number of features whose
-    domain moved; with none, the given coef and hist come back as they are.
+    The interval count stays fixed.  The features that move are those whose
+    bounds differ from ``hist.a``/``hist.b``: their weight rows are refit
+    onto the new bounds with one refit, and the histogram is transferred with
+    one refit, which widens the extremes to the new bounds: after a stretch
+    to the extremes they equal them.  Returns (coef, hist, events), events
+    being the number of features that move; with none, the given coef and
+    hist come back as they are.
     """
-    moved = {j: d for j, d in decisions.items() if d.kind != "none"}
-    if not moved:
+    J = np.flatnonzero((a != hist.a) | (b != hist.b))
+    if not J.size:
         return coef, hist, 0
-    J = list(moved)
-    a, b = hist.a.copy(), hist.b.copy()
-    a[J] = [d.a for d in moved.values()]
-    b[J] = [d.b for d in moved.values()]
     new_coef = coef.copy()
     new_coef[J] = _refit_weights(coef[J], hist.a[J], hist.b[J], a[J], b[J], hist.omega, cfg)
-    return new_coef, hist.refit(a, b, hist.omega), len(moved)
+    return new_coef, hist.refit(a, b, hist.omega), J.size
 
 
 def manual_adapt(hist: FeatureHistogram, coef: np.ndarray, batch, cfg: AdaptConfig):

@@ -73,6 +73,18 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
+def _shape_and_sizes(cfg: dict):
+    """The config's ``shape``, a list of at least two layer widths, and its given
+    ``train_n``/``test_n``; each width and size must be an integer >= 1."""
+    shape = _require(cfg, "shape")
+    if not isinstance(shape, list) or len(shape) < 2:
+        raise ConfigError(f"shape must be a list of at least two layer widths, got {shape!r}")
+    sizes = {k: cfg[k] for k in ("train_n", "test_n") if k in cfg}
+    for name, count in [*(("each shape width", w) for w in shape), *sizes.items()]:
+        require_count(name, count)
+    return shape, sizes
+
+
 def _given_fields(cls, cfg: dict) -> dict:
     """The entries of ``cfg`` that name fields of the dataclass ``cls``."""
     return {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
@@ -96,11 +108,8 @@ def _build_net(cfg: dict, shape, seed: int):
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
-    task = get_task(_require(cfg, "task"))
-    if cfg.get("train_n") or cfg.get("test_n"):
-        task = replace(task, train_n=cfg.get("train_n", task.train_n),
-                       test_n=cfg.get("test_n", task.test_n))
-    shape = _require(cfg, "shape")
+    shape, sizes = _shape_and_sizes(cfg)
+    task = replace(get_task(_require(cfg, "task")), **sizes)
     if shape[0] != task.arity:
         raise ConfigError(f"shape input width {shape[0]} != task arity {task.arity}")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
@@ -167,14 +176,19 @@ def cmd_ood_auroc(args) -> int:
 
 def cmd_clf_train(args) -> int:
     cfg = _load_config(args.config)
-    shape = _require(cfg, "shape")
+    shape, sizes = _shape_and_sizes(cfg)
+    sizes = {"train_n": 8000, "test_n": 2000, **sizes}
     epochs = _require(cfg, "epochs")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     loss_cfg = ClfLossConfig(**_given_fields(ClfLossConfig, cfg))
-    bounds = cfg.get("bounds", (-3.0, 3.0))
+    bounds = cfg.get("bounds", [-3.0, 3.0])
+    if not (isinstance(bounds, list) and len(bounds) == 2
+            and all(isinstance(v, (int, float)) and math.isfinite(v) for v in bounds)
+            and bounds[0] < bounds[1]):
+        raise ConfigError(f"bounds must be two finite numbers lo < hi, got {bounds!r}")
     rng = np.random.default_rng(seed)
-    X_tr = rng.uniform(bounds[0], bounds[1], size=(cfg.get("train_n", 8000), shape[0]))
-    X_val = rng.uniform(bounds[0], bounds[1], size=(cfg.get("test_n", 2000), shape[0]))
+    X_tr = rng.uniform(bounds[0], bounds[1], size=(sizes["train_n"], shape[0]))
+    X_val = rng.uniform(bounds[0], bounds[1], size=(sizes["test_n"], shape[0]))
     net = _build_net(cfg, shape, seed)
     history = train_clf(net, X_tr, loss_cfg, epochs, seed=seed, X_val=X_val,
                         **{k: cfg[k] for k in ("lr", "batch_size") if k in cfg})

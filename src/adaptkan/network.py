@@ -12,8 +12,8 @@ its n features: bounds a, b (n,), counts (n, omega+2) with the below-a and
 above-b tallies as first and last columns, and extremes (n, 2).  With
 ``record=True`` the forward pass runs, per layer and before evaluating it,
 one update of the histogram with the whole batch at the network's EMA rate
-``AdaptConfig.alpha``, one ``decide`` for all its features and, when a
-feature fires, one ``apply_adapt`` that refits the weight rows of the
+``AdaptConfig.alpha``, one ``decide`` of all its features' bounds and, when
+some bound differs, one ``apply_adapt`` that refits the weight rows of the
 features that move and the histogram, so layers adapt to the data they are
 about to see.
 
@@ -276,17 +276,17 @@ class AdaptKanNet:
     # ------------------------------------------------------------------
 
     def _observe(self, li: int, Z: np.ndarray) -> None:
-        """Update layer li's histogram with its inputs, then adapt the
-        features whose decision fires."""
+        """Update layer li's histogram with its inputs, then move the
+        features whose decided bounds differ from their own."""
         layer = self.layers[li]
         try:
             layer.hist.update(Z, self.cfg.alpha)
         except ValueError:  # the update's own check: a non-finite batch
             raise NonFiniteError(li, "inputs") from None
-        decisions = decide(layer.hist, self.cfg)
-        if any(d.kind != "none" for d in decisions.values()):
-            layer.coef[...], layer.hist, events = apply_adapt(layer.hist, layer.coef,
-                                                              decisions, self.cfg)
+        a, b = decide(layer.hist, self.cfg)
+        if (a != layer.hist.a).any() or (b != layer.hist.b).any():
+            layer.coef[...], layer.hist, events = apply_adapt(layer.hist, layer.coef, a, b,
+                                                              self.cfg)
             self.adapt_events += events
 
     def manual_adapt_all(self, X: np.ndarray) -> None:

@@ -48,18 +48,22 @@ class OodScorer:
 
     @classmethod
     def load(cls, path) -> "OodScorer":
-        """Read a scorer written by :meth:`save` (older files' extra keys are ignored)."""
+        """Read a scorer written by :meth:`save` (older files' extra keys are
+        ignored); a value of the wrong JSON type in it raises ValueError."""
         with open(path) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError(f"scorer file {path} does not hold a JSON object")
-        counts = np.array(doc["counts"], dtype=float)
-        if counts.ndim != 2:
-            raise ValueError("counts must be (n_features, n_bins)")
-        # zero tallies below lo and above hi: a scorer counts only its fit data
-        hist = FeatureHistogram(doc["lo"], doc["hi"], counts.shape[1],
-                                np.pad(counts, ((0, 0), (1, 1))))
-        return cls(hist, msp_lambda=doc.get("msp_lambda", DEFAULT_MSP_LAMBDA))
+        try:
+            counts = np.array(doc["counts"], dtype=float)
+            if counts.ndim != 2:
+                raise ValueError("counts must be (n_features, n_bins)")
+            # zero tallies below lo and above hi: a scorer counts only its fit data
+            hist = FeatureHistogram(doc["lo"], doc["hi"], counts.shape[1],
+                                    np.pad(counts, ((0, 0), (1, 1))))
+            return cls(hist, msp_lambda=doc.get("msp_lambda", DEFAULT_MSP_LAMBDA))
+        except TypeError as exc:
+            raise ValueError(f"malformed scorer file: {exc}") from None
 
     @classmethod
     def fit(cls, features, bins: int = DEFAULT_BINS_HIST,

@@ -94,6 +94,7 @@ class Round:
 
     def __post_init__(self):
         require_count("steps", self.steps)
+        require_count("omega", self.omega)
 
 
 @dataclass
@@ -113,6 +114,8 @@ class TrainPlan:
             self.rounds = [r if isinstance(r, Round) else Round(**r) for r in self.rounds]
         except TypeError as exc:  # a round that is not a mapping of Round's fields
             raise ValueError(f"malformed round: {exc}") from None
+        if not self.rounds:
+            raise ValueError("need at least one round")
         omegas = [r.omega for r in self.rounds]
         if any(b < a for a, b in zip(omegas, omegas[1:])):
             raise ValueError(f"round omegas must be non-decreasing, got {omegas}")
@@ -160,6 +163,8 @@ def train(net: AdaptKanNet, data, plan: TrainPlan, adapt_mode: str = "auto",
     ("auto"), the forced single-batch baseline every ``manual_every`` epochs
     ("manual"), or no adaptation at all ("none").  ``batch_hook(epoch, X, y)``
     may replace each batch before it is used (e.g. to inject corruption).
+    Each round trains at its omega, refining the network up to it; a first
+    round below the network's omega raises ValueError before any step.
     Returns one history dict per round: round, omega, lr, train_rmse,
     test_rmse, adapt_events, fail.
     """
@@ -171,7 +176,7 @@ def train(net: AdaptKanNet, data, plan: TrainPlan, adapt_mode: str = "auto",
     history = []
 
     for ri, rd in enumerate(plan.rounds):
-        if rd.omega > net.omega:
+        if rd.omega != net.omega:  # refine_grid refuses a smaller omega
             net.refine_all(rd.omega)
         opt = Adam(lr=rd.lr, weight_decay=plan.weight_decay,
                    decoupled=plan.optimizer == "adamw")

@@ -147,12 +147,13 @@ def test_criterion_04_shrink_timing():
         cfg = AdaptConfig(alpha=alpha, prune_patience=p)
         h = _one_feature()
         h.update(np.vstack([clean, [[0.9]]]), alpha)  # the single outlier, bin 3
-        early = any(d.kind != "none" for d in decide(h, cfg).values())
+        a, b = decide(h, cfg)
+        early = a[0] != h.a[0] or b[0] != h.b[0]
         fired_at = None
         for step in range(1, p + 1):
             h.update(clean, alpha)
-            d = decide(h, cfg).get(0)
-            if d is not None and d.kind == "shrink":
+            a, b = decide(h, cfg)
+            if a[0] > h.a[0] or b[0] < h.b[0]:  # a shrink moves a bound in
                 fired_at = step
                 break
         bit_match = h.hist[0, 3] == shrink_threshold(cfg)

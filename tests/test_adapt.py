@@ -11,7 +11,6 @@ from adaptkan.adapt import (
     SHRINK_RULES,
     STRETCH_MODES,
     AdaptConfig,
-    Decision,
     apply_adapt,
     decide,
     manual_adapt,
@@ -32,9 +31,17 @@ def make_hist(dom, hist=None, ood=(0.0, 0.0), ood_a=None, ood_b=None):
                             [[dom.a if ood_a is None else ood_a, dom.b if ood_b is None else ood_b]])
 
 
+def kinds(h, a, b):
+    """Each feature's move from h's bounds to a, b: a stretch moves a bound
+    out, a shrink moves one in."""
+    return np.where((a < h.a) | (b > h.b), "stretch",
+                    np.where((a != h.a) | (b != h.b), "shrink", "none"))
+
+
 def decide1(h, cfg):
-    """Decision for the one feature of h."""
-    return decide(h, cfg).get(0, Decision("none"))
+    """Kind and decided bounds of the one feature of h."""
+    a, b = decide(h, cfg)
+    return kinds(h, a, b)[0], a[0], b[0]
 
 
 def total(h):
@@ -58,37 +65,36 @@ def test_decide_shrink_example():
     # tau = max(hist) * alpha = 0.1 via the relative rule
     cfg = AdaptConfig(alpha=0.02, shrink_rule="relative")
     h = make_hist(DOM4, [0.0, 5.0, 5.0, 0.0])
-    d = decide1(h, cfg)
-    assert d.kind == "shrink"
-    assert (d.a, d.b) == (0.25, 0.75)
+    assert decide1(h, cfg) == ("shrink", 0.25, 0.75)
 
 
 def test_decide_stretch_overrides():
     cfg = AdaptConfig(alpha=0.5, stretch_mode="max")
     h = make_hist(DOM4, [1.0, 1.0, 1.0, 1.0], ood=(5.0, 0.0), ood_a=-2.0)
-    d = decide1(h, cfg)
-    assert d.kind == "stretch"
-    assert (d.a, d.b) == (-2.0, 1.0)
+    assert decide1(h, cfg) == ("stretch", -2.0, 1.0)
 
 
 def test_decide_none_when_ood_below_max():
     cfg = AdaptConfig(alpha=0.5, stretch_mode="max")
     h = make_hist(DOM4, [1.0, 1.0, 1.0, 1.0], ood=(0.4, 0.0), ood_a=-2.0)
-    assert decide1(h, cfg).kind == "none"
+    assert decide1(h, cfg) == ("none", 0.0, 1.0)
 
 
-def test_decide_collapse_returns_none_with_note():
+def test_decide_keeps_bounds_when_no_bin_is_above_tau():
+    # both edges are stale, but shrinking to the bins above tau would
+    # collapse the domain: the feature keeps its bounds
     cfg = AdaptConfig(alpha=0.5)
     h = make_hist(DOM4, [0.0, 0.0, 0.0, 0.0])
-    d = decide1(h, cfg)
-    assert d.kind == "none"
-    assert "collapse" in d.note
+    assert decide1(h, cfg) == ("none", 0.0, 1.0)
 
 
 def test_decide_is_pure():
     cfg = AdaptConfig(alpha=0.02, shrink_rule="relative")
     h = make_hist(DOM4, [0.0, 5.0, 5.0, 0.0])
-    assert decide(h, cfg) == decide(h, cfg)
+    counts = h.counts.copy()
+    (a1, b1), (a2, b2) = decide(h, cfg), decide(h, cfg)
+    assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
+    assert np.array_equal(h.counts, counts) and (h.a[0], h.b[0]) == (0.0, 1.0)
 
 
 @pytest.mark.parametrize("mode,hist,ood,expect", [
@@ -101,7 +107,7 @@ def test_decide_is_pure():
 def test_stretch_modes(mode, hist, ood, expect):
     cfg = AdaptConfig(alpha=0.5, stretch_mode=mode)
     h = make_hist(DOM4, hist, ood=ood, ood_a=-1.0, ood_b=2.0)
-    assert decide1(h, cfg).kind == expect
+    assert decide1(h, cfg)[0] == expect
 
 
 def test_tau_timing_semantics():
@@ -112,15 +118,14 @@ def test_tau_timing_semantics():
         h = make_hist(DOM4)
         clean = np.array([[0.1], [0.3], [0.6]])  # covers bins 0..2
         h.update(np.vstack([clean, [[0.9]]]), alpha)  # outlier lands in bin 3
-        assert decide1(h, cfg).kind == "none"
+        assert decide1(h, cfg)[0] == "none"
         for step in range(1, p + 1):
             h.update(clean, alpha)
             d = decide1(h, cfg)
             if step < p:
-                assert d.kind == "none", f"fired early at step {step}"
+                assert d[0] == "none", f"fired early at step {step}"
             else:
-                assert d.kind == "shrink"
-                assert (d.a, d.b) == (0.0, 0.75)
+                assert d == ("shrink", 0.0, 0.75)
         assert h.hist[0, 3] == shrink_threshold(cfg)  # bit-for-bit decay match
 
 
@@ -131,11 +136,11 @@ def test_shrink_threshold_uses_each_features_alpha():
     h = make_hist(DOM4)
     clean = np.array([[0.1], [0.3], [0.6]])
     h.update(np.vstack([clean, [[0.9]]]), cfg.alpha)
-    assert decide(h, cfg) == {}
+    assert decide1(h, cfg) == ("none", 0.0, 1.0)
     h.update(clean, cfg.alpha)
-    assert decide(h, cfg) == {}
+    assert decide1(h, cfg) == ("none", 0.0, 1.0)
     h.update(clean, cfg.alpha)
-    assert decide(h, cfg) == {0: Decision("shrink", 0.0, 0.75)}
+    assert decide1(h, cfg) == ("shrink", 0.0, 0.75)
     assert h.hist[0, 3] == shrink_threshold(cfg)
 
 
@@ -148,8 +153,7 @@ def make_state(rng, dom=DOM4, m=3):
 def test_apply_none_is_identity():
     rng = np.random.default_rng(0)
     dom, coef, hist = make_state(rng)
-    coef2, hist2, events = apply_adapt(hist, coef, {0: Decision("none", note="x")},
-                                       AdaptConfig())
+    coef2, hist2, events = apply_adapt(hist, coef, hist.a.copy(), hist.b.copy(), AdaptConfig())
     assert coef2 is coef and hist2 is hist and events == 0
 
 
@@ -158,7 +162,7 @@ def test_apply_stretch_keeps_constant_function():
     dom = DOM4
     coef = np.full((1, 2, dom.n_coef), 3.0)
     hist = make_hist(dom, [1.0, 1.0, 1.0, 1.0], ood=(5.0, 0.0), ood_a=-2.0)
-    coef2, hist2, events = apply_adapt(hist, coef, {0: Decision("stretch", -2.0, 1.0)}, cfg)
+    coef2, hist2, events = apply_adapt(hist, coef, np.array([-2.0]), np.array([1.0]), cfg)
     dom2 = GridDomain(hist2.a[0], hist2.b[0], hist2.omega)
     assert events == 1
     z = np.linspace(-2.0, 1.0, 300)
@@ -173,19 +177,35 @@ def test_stretch_leaves_extremes_at_the_new_bounds():
     # are the extremes themselves; a feature that stays keeps its own
     hist = FeatureHistogram([0.0, 0.0], [1.0, 1.0], 4, [[4.0, 1, 1, 1, 1, 0], [0, 1, 1, 1, 1, 0]],
                             [[-2.0, 1.0], [-0.5, 3.0]])
-    decisions = decide(hist, AdaptConfig(stretch_mode="max"))
-    assert decisions == {0: Decision("stretch", -2.0, 1.0)}
-    _, hist2, events = apply_adapt(hist, np.zeros((2, 1, 7)), decisions, AdaptConfig())
+    a, b = decide(hist, AdaptConfig(stretch_mode="max"))
+    assert list(kinds(hist, a, b)) == ["stretch", "none"]
+    assert (a[0], b[0]) == (-2.0, 1.0)
+    _, hist2, events = apply_adapt(hist, np.zeros((2, 1, 7)), a, b, AdaptConfig())
     assert events == 1
     np.testing.assert_array_equal(hist2.extremes, [[-2.0, 1.0], [-0.5, 3.0]])
     assert (hist2.a[0], hist2.b[0]) == (-2.0, 1.0)
+
+
+def test_stretch_trigger_with_extremes_at_the_bounds_moves_nothing():
+    # a positive below-a tally with the extremes at the bounds is a legal
+    # state: its stretch goes nowhere, so it is no event and refits nothing
+    net = init_network([1, 2], mode="kan", noise=0.5, seed=0, omega=4)
+    layer = net.layers[0]
+    layer.hist = FeatureHistogram([0.0], [1.0], 4, [[5, 1, 1, 1, 1, 0]])
+    coef = layer.coef.copy()
+    X = np.random.default_rng(0).uniform(0.0, 1.0, (32, 1))
+    for _ in range(3):
+        net.forward(X, record=True)
+    assert net.adapt_events == 0
+    assert np.array_equal(layer.coef, coef)
+    assert (layer.hist.a[0], layer.hist.b[0]) == (0.0, 1.0)
 
 
 def test_apply_shrink_matches_on_overlap():
     rng = np.random.default_rng(1)
     cfg = AdaptConfig(alpha=0.5, refit_mode="exact_lsq")
     dom, coef, hist = make_state(rng)
-    coef2, hist2, _ = apply_adapt(hist, coef, {0: Decision("shrink", 0.25, 0.75)}, cfg)
+    coef2, hist2, _ = apply_adapt(hist, coef, np.array([0.25]), np.array([0.75]), cfg)
     dom2 = GridDomain(hist2.a[0], hist2.b[0], hist2.omega)
     z = np.linspace(0.25, 0.75, 400)
     for old, new in zip(coef[0], coef2[0]):
@@ -197,7 +217,7 @@ def test_apply_preserves_shapes():
     rng = np.random.default_rng(2)
     cfg = AdaptConfig(alpha=0.5, refit_mode="greville")
     dom, coef, hist = make_state(rng)
-    coef2, hist2, _ = apply_adapt(hist, coef, {0: Decision("stretch", -1.0, 2.0)}, cfg)
+    coef2, hist2, _ = apply_adapt(hist, coef, np.array([-1.0]), np.array([2.0]), cfg)
     assert hist2.omega == dom.omega
     assert coef2.shape == coef.shape
     assert hist2.hist.shape == hist.hist.shape
@@ -234,12 +254,11 @@ def test_decide_shrink_bounds_lie_on_bin_edges():
         omega = int(rng.integers(2, 12))
         dom = GridDomain(-1.0, 1.0, omega)
         h = make_hist(dom, rng.uniform(0, 0.01, size=omega) ** 2)
-        d = decide1(h, cfg)
-        if d.kind == "shrink":
+        kind, a, b = decide1(h, cfg)
+        if kind == "shrink":
             edges = np.linspace(dom.a, dom.b, dom.omega + 1)
-            assert any(np.isclose(d.a, e) for e in edges)
-            assert any(np.isclose(d.b, e) for e in edges)
-            assert dom.a <= d.a < d.b <= dom.b
+            assert a in edges and b in edges  # bitwise
+            assert dom.a <= a < b <= dom.b
 
 
 def test_config_validation():
@@ -292,8 +311,14 @@ def test_layer_arrays_match_one_feature_histograms(stream, monkeypatch):
     seen = []
 
     def spy(h, cfg):
-        seen.append(decide(h, cfg))
-        return seen[-1]
+        # each feature's decided bounds and its outcome; "collapse" marks a
+        # stale feature that keeps its bounds because no bin is above tau
+        a, b = decide(h, cfg)
+        tau = np.asarray(shrink_threshold(cfg, h.hist))[..., None]
+        stale = (h.ood_hist <= tau).any(axis=1) & ~(h.hist > tau).any(axis=1)
+        kind = kinds(h, a, b)
+        seen.append((a, b, np.where((kind == "none") & stale, "collapse", kind)))
+        return a, b
 
     monkeypatch.setattr(network, "decide", spy)
     outcomes = set()
@@ -311,18 +336,16 @@ def test_layer_arrays_match_one_feature_histograms(stream, monkeypatch):
             net.forward(X, record=True)
             for j, single in enumerate(singles):
                 single.forward(X[:, j:j + 1], record=True)
-            layer_decisions, *single_decisions = seen
+            (a, b, kind), *single_decisions = seen
             for j, single in enumerate(singles):
-                d = single_decisions[j].get(0, Decision("none"))
-                assert layer_decisions.get(j, Decision("none")) == d
-                outcomes.add(d.note or d.kind)
+                assert (a[j], b[j], kind[j]) == tuple(x[0] for x in single_decisions[j])
+                outcomes.add(str(kind[j]))
                 got = single.layers[0]
                 for name in ("a", "b", "counts", "extremes"):
                     assert np.array_equal(getattr(layer.hist, name)[j],
                                           getattr(got.hist, name)[0]), name
                 assert np.array_equal(layer.coef[j], got.coef[0])
-    assert outcomes >= {"none", "shrink", "stretch",
-                        "no bin above shrink threshold; domain would collapse"}
+    assert outcomes >= {"none", "shrink", "stretch", "collapse"}
 
 
 @pytest.mark.parametrize("refit_mode", REFIT_MODES)

@@ -401,6 +401,21 @@ def test_train_config_with_misspelled_key_exits_2(tmp_path, capsys, corrupt):
     ("clf", {**CLF_CFG, "batch_size": "x"}),
     ("clf", {**CLF_CFG, "epochs": "ten"}),
     ("clf", {**CLF_CFG, "epochs": 0}),
+    ("train", {**TRAIN_CFG, "shape": 5}),
+    ("train", {**TRAIN_CFG, "shape": [2]}),
+    ("train", {**TRAIN_CFG, "shape": [2, 0, 1]}),
+    ("train", {**TRAIN_CFG, "train_n": "x"}),
+    ("train", {**{k: v for k, v in TRAIN_CFG.items() if k != "test_n"}, "train_n": 0}),
+    ("train", {**TRAIN_CFG, "test_n": 2.5}),
+    ("clf", {**CLF_CFG, "shape": 5}),
+    ("clf", {**CLF_CFG, "train_n": "x"}),
+    ("clf", {**CLF_CFG, "bounds": 5}),
+    ("clf", {**CLF_CFG, "bounds": [-3.0, math.inf]}),
+    ("clf", {**CLF_CFG, "bounds": [-3.0, "3"]}),
+    ("train", {**TRAIN_CFG, "rounds": [{"lr": 1e-2, "steps": 30, "omega": 0}]}),
+    ("train", {**TRAIN_CFG, "rounds": [{"lr": 1e-2, "steps": 30, "omega": 2.5}]}),
+    ("train", {**TRAIN_CFG, "init": {"omega": 5}}),  # first round trains at omega 3
+    ("train", {**TRAIN_CFG, "rounds": []}),
 ])
 def test_trainer_settings_must_be_counts(tmp_path, capsys, command, cfg):
     argv = ["train"] if command == "train" else ["clf", "train"]
@@ -621,10 +636,27 @@ def _scorer_nan_lambda(doc):
     return doc
 
 
+def _scorer_lo_is_an_object(doc):
+    doc["lo"] = {}
+    return doc
+
+
+def _scorer_counts_is_an_object(doc):
+    doc["counts"] = {"a": 1}
+    return doc
+
+
+def _scorer_lambda_is_a_list(doc):
+    doc["msp_lambda"] = [1]
+    return doc
+
+
 @pytest.mark.parametrize("corrupt", [_scorer_is_a_list, _scorer_without_counts,
                                      _scorer_lo_not_a_list, _scorer_empty_range,
                                      _scorer_nan_counts, _scorer_negative_counts,
-                                     _scorer_infinite_lo, _scorer_nan_lambda])
+                                     _scorer_infinite_lo, _scorer_nan_lambda,
+                                     _scorer_lo_is_an_object, _scorer_counts_is_an_object,
+                                     _scorer_lambda_is_a_list])
 def test_ood_score_on_malformed_scorer_json_exits_2(tmp_path, capsys, corrupt):
     fit = tmp_path / "fit.csv"
     write_features(fit, np.random.default_rng(11).normal(size=(100, 2)))

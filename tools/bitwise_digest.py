@@ -14,6 +14,9 @@ Parts (all by default):
            adapt modes auto, manual (a snap every epoch) and none
   c05      the criterion-05 recipe: II.38.3 and I.6.2, seeds 0-4
   c06      criterion 06: poisoned sin(2 pi x), seeds 0-2, auto and manual
+  modes    a [2, 4, 1] network on a drifting stream under every stretch mode,
+           shrink rule and refit mode, half the runs with prune_patience 2
+           and outlier_count 3; each run must make an adaptation event
   clf      6 epochs of ``train_clf`` on the perfbench clf config
   cli      the files and stdout of ``train``, ``clf train`` and
            ``clf simulate``
@@ -33,6 +36,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -131,6 +135,38 @@ def part_c06(work: Path) -> dict:
     return out
 
 
+def part_modes(work: Path) -> dict:
+    """Each adaptation mode on a stream whose first input drifts right and
+    whose second widens, so domains stretch and stale edges shrink."""
+    from adaptkan import AdaptConfig, TrainPlan, init_network, train
+    from adaptkan.adapt import REFIT_MODES, SHRINK_RULES, STRETCH_MODES
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-1.0, 1.0, (512, 2))
+    y = np.sin(np.pi * X[:, 0]) * X[:, 1]
+    Xv = rng.uniform(-1.0, 1.0, (128, 2))
+    yv = np.sin(np.pi * Xv[:, 0]) * Xv[:, 1]
+
+    def drift(epoch, Xb, yb):
+        return Xb * [1.0, 1.0 + 0.2 * epoch] + [0.1 * epoch, 0.0], yb
+
+    out = {}
+    modes = itertools.product(STRETCH_MODES, SHRINK_RULES, REFIT_MODES)
+    for i, (stretch_mode, shrink_rule, refit_mode) in enumerate(modes):
+        key = f"modes/{stretch_mode}/{shrink_rule}/{refit_mode}"
+        cfg = AdaptConfig(alpha=0.05, stretch_mode=stretch_mode, shrink_rule=shrink_rule,
+                          refit_mode=refit_mode, prune_patience=1 + i % 2,
+                          outlier_count=1 + 2 * (i % 2))
+        net = init_network([2, 4, 1], mode="kan", noise=0.5, seed=i, cfg=cfg)
+        plan = TrainPlan(rounds=[{"lr": 1e-2, "steps": 80, "omega": 5},
+                                 {"lr": 5e-3, "steps": 40, "omega": 10}],
+                         batch_size=64, seed=i)
+        history = train(net, (X, y, Xv, yv), plan, batch_hook=drift)
+        if not net.adapt_events:
+            raise RuntimeError(f"{key} made no adaptation event")
+        out.update(net_digests(key, net, history))
+    return out
+
+
 def part_clf(work: Path) -> dict:
     """6 epochs of train_clf, set up as ``clf train`` sets up the config."""
     from adaptkan import AdaptConfig, ClfLossConfig, init_network, train_clf
@@ -218,8 +254,8 @@ def part_ood(work: Path) -> dict:
     return out
 
 
-PARTS = {"regress": part_regress, "c05": part_c05, "c06": part_c06, "clf": part_clf,
-         "cli": part_cli, "ood": part_ood}
+PARTS = {"regress": part_regress, "c05": part_c05, "c06": part_c06, "modes": part_modes,
+         "clf": part_clf, "cli": part_cli, "ood": part_ood}
 
 
 def collect(parts, work: Path) -> dict:
