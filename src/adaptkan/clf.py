@@ -13,12 +13,12 @@ quantiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .network import AdaptKanNet, NonFiniteError
-from .optim import Adam, minibatches, require_count
+from .optim import Adam, minibatches, require_count, require_real
 
 
 def dynamics_f(X) -> np.ndarray:
@@ -197,6 +197,8 @@ class ClfLossConfig:
     output_mode: str = "squared_norm"
 
     def __post_init__(self):
+        for name in (f.name for f in fields(self) if f.name != "output_mode"):
+            require_real(name, getattr(self, name))
         if self.output_mode not in ("direct", "squared_norm"):
             raise ValueError(f"output_mode must be 'direct' or 'squared_norm'")
         if self.k1 >= self.k2:
@@ -355,6 +357,7 @@ def train_clf(net: AdaptKanNet, X_train, cfg: ClfLossConfig, epochs: int,
     None)`` and the failure rule are the regression trainer's.
     """
     require_count("epochs", epochs)
+    require_real("lr", lr)
     stream = minibatches(np.asarray(X_train, dtype=float), None, batch_size, seed,
                          adapt_mode, manual_every, batch_hook)
     opt = Adam(lr=lr)

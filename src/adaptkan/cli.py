@@ -85,6 +85,15 @@ def _shape_and_sizes(cfg: dict):
     return shape, sizes
 
 
+def _seed(args, cfg: dict) -> int:
+    """The run's seed: ``--seed``, else the config's ``seed``, else 0; an
+    integer >= 0."""
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
+
+
 def _given_fields(cls, cfg: dict) -> dict:
     """The entries of ``cfg`` that name fields of the dataclass ``cls``."""
     return {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
@@ -112,7 +121,7 @@ def cmd_train(args) -> int:
     task = replace(get_task(_require(cfg, "task")), **sizes)
     if shape[0] != task.arity:
         raise ConfigError(f"shape input width {shape[0]} != task arity {task.arity}")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _seed(args, cfg)
     _require(cfg, "rounds")
     plan = TrainPlan(**{**_given_fields(TrainPlan, cfg), "seed": seed})
     (X_tr, y_tr), (X_te, y_te) = generate(task, seed=seed)
@@ -179,11 +188,12 @@ def cmd_clf_train(args) -> int:
     shape, sizes = _shape_and_sizes(cfg)
     sizes = {"train_n": 8000, "test_n": 2000, **sizes}
     epochs = _require(cfg, "epochs")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _seed(args, cfg)
     loss_cfg = ClfLossConfig(**_given_fields(ClfLossConfig, cfg))
     bounds = cfg.get("bounds", [-3.0, 3.0])
     if not (isinstance(bounds, list) and len(bounds) == 2
-            and all(isinstance(v, (int, float)) and math.isfinite(v) for v in bounds)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                    for v in bounds)
             and bounds[0] < bounds[1]):
         raise ConfigError(f"bounds must be two finite numbers lo < hi, got {bounds!r}")
     rng = np.random.default_rng(seed)

@@ -160,15 +160,16 @@ class FeatureHistogram:
         Z = np.asarray(batch, dtype=float)
         if not np.isfinite(Z).all():
             raise ValueError("non-finite values in histogram batch")
-        counts, below, above = self.batch_counts(Z)
+        counts = self.batch_counts(Z)[0]
         self.counts *= 1.0 - alpha
         self.counts += alpha * counts
+        # a feature with values below a has its batch min among them, so
+        # its extreme moves to that min (the tally masks keep signed zeros)
+        below, above = counts[:, 0] > 0, counts[:, -1] > 0
         if below.any():
-            np.minimum(self.extremes[:, 0], np.where(below, Z, np.inf).min(axis=0),
-                       out=self.extremes[:, 0])
+            np.minimum(self.extremes[:, 0], Z.min(axis=0), out=self.extremes[:, 0], where=below)
         if above.any():
-            np.maximum(self.extremes[:, 1], np.where(above, Z, -np.inf).max(axis=0),
-                       out=self.extremes[:, 1])
+            np.maximum(self.extremes[:, 1], Z.max(axis=0), out=self.extremes[:, 1], where=above)
         return self
 
     def refit(self, a, b, omega: int) -> "FeatureHistogram":

@@ -31,15 +31,18 @@ laid out as (n*P, m), the layer output is D @ Wf + silu(Z) @ w_b, so the
 (B, n, m) activation tensor is never formed.  D is built in row blocks of at
 most BLOCK_ELEMS elements, bounding memory on whole-dataset passes.
 
-Gradients are computed in closed form: reverse mode for weights and inputs,
-plus optional forward tangent channels (directional derivatives of the
-outputs w.r.t. the inputs) whose reverse pass supplies exact parameter
-gradients for losses built on input-gradients, e.g. Lie-derivative terms.
-Coefficient gradients are D.T @ G and input gradients G @ Wf.T read at each
-window against the derivative basis; a tangent contracts like a value, with
-the derivative window scaled by the tangent in place of the value window.
-Per-activation values are formed only for the L1 sparsity penalty and its
-cotangent.
+Gradients are computed in closed form.  The network walks its layers in two
+places: ``_forward`` carries T >= 0 forward tangent channels (directional
+derivatives of the outputs w.r.t. the inputs) beside the values, and
+``_reverse`` runs back over it, giving exact parameter gradients also for
+losses built on input-gradients, e.g. Lie-derivative terms.  ``forward``,
+``forward_jvp`` and the manual snap are ``_forward``; ``backward`` and
+``backward_jvp`` are ``_reverse``; the value passes are the T = 0 case,
+in which no tangent or curvature term runs.  Coefficient gradients are
+D.T @ G and input gradients G @ Wf.T read at each window against the
+derivative basis; a tangent contracts like a value, with the derivative
+window scaled by the tangent in place of the value window.  Per-activation
+values are formed only for the L1 sparsity penalty and its cotangent.
 """
 
 from __future__ import annotations
@@ -95,9 +98,14 @@ def silu_d2(z, s=None):
 
 
 def _row_blocks(rows: int, width: int):
-    """Row slices whose (rows, width) blocks hold at most BLOCK_ELEMS elements."""
+    """Yield (row slice, (rows in it, width) buffer) for blocks of at most
+    BLOCK_ELEMS elements.  Every buffer is a view of the same array, so one
+    is only valid until the next block is requested."""
     step = max(1, BLOCK_ELEMS // width)
-    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+    buf = np.empty(min(step, rows) * width)
+    for r in range(0, rows, step):
+        block = slice(r, min(r + step, rows))
+        yield block, buf[:(block.stop - r) * width].reshape(-1, width)
 
 
 class AdaptKanLayer:
@@ -156,11 +164,8 @@ class AdaptKanLayer:
         written into the same buffer, so a block is only valid until the next
         one is requested.
         """
-        width = self.n * self.coef.shape[2]
-        blocks = _row_blocks(len(V), width)
-        buf = np.empty(blocks[0].stop * width if blocks else 0)
-        for r in blocks:
-            yield r, dense_basis(cols[r], V[r], buf[:(r.stop - r.start) * width].reshape(-1, width))
+        for r, buf in _row_blocks(len(V), self.n * self.coef.shape[2]):
+            yield r, dense_basis(cols[r], V[r], buf)
 
     def basis_product(self, cols, V, Wf) -> np.ndarray:
         """dense(V) @ Wf: (R, m)."""
@@ -188,11 +193,8 @@ class AdaptKanLayer:
         P = self.coef.shape[2]
         width = self.n * P
         out = np.empty(cols.shape)
-        blocks = _row_blocks(len(cols), width)
-        buf = np.empty(blocks[0].stop * width if blocks else 0)
-        for r in blocks:
-            rows = r.stop - r.start
-            H = buf[:rows * width].reshape(rows, width)
+        for r, H in _row_blocks(len(cols), width):
+            rows = len(H)
             if E.ndim == 2:
                 np.matmul(E[r], Wf.T, out=H)
             else:
@@ -220,16 +222,6 @@ class AdaptKanLayer:
             return {"coef": GD, "w_s": np.zeros_like(self.w_s), "w_b": np.zeros_like(self.w_b)}
         return {"coef": self.w_s[:, :, None] * GD, "w_s": (self.coef * GD).sum(axis=2),
                 "w_b": GB}
-
-
-def _base_cotangent(u, E):
-    """u.T @ E for base values u (R, n) and E (R, m) or per-feature (R, n, m)."""
-    return u.T @ E if E.ndim == 2 else np.einsum("rj,rjm->jm", u, E)
-
-
-def _base_input(E, w_b):
-    """Cotangent of the base values from E (R, m) or per-feature (R, n, m): (R, n)."""
-    return E @ w_b.T if E.ndim == 2 else (E * w_b).sum(axis=2)
 
 
 class AdaptKanNet:
@@ -289,14 +281,17 @@ class AdaptKanNet:
                                                               self.cfg)
             self.adapt_events += events
 
+    def _snap(self, li: int, Z: np.ndarray) -> None:
+        """Snap layer li's domains to the min/max of its inputs Z."""
+        layer = self.layers[li]
+        layer.coef[...], layer.hist = manual_adapt(layer.hist, layer.coef, Z, self.cfg)
+
     def manual_adapt_all(self, X: np.ndarray) -> None:
         """Snap every domain to the min/max of this batch (naive baseline)."""
         Z = np.asarray(X, dtype=float)
         if not np.isfinite(Z).all():  # every later layer's inputs are checked outputs
             raise NonFiniteError(0, "inputs")
-        for li, layer in enumerate(self.layers):
-            layer.coef[...], layer.hist = manual_adapt(layer.hist, layer.coef, Z, self.cfg)
-            Z, _ = self._layer_eval(li, Z)
+        self._forward(Z, np.empty(Z.shape + (0,)), self._snap)
 
     def refine_all(self, new_omega: int) -> float:
         """Increase every layer's grid interval count on fixed bounds.
@@ -320,26 +315,6 @@ class AdaptKanNet:
     # forward / reverse
     # ------------------------------------------------------------------
 
-    def _layer_eval(self, li: int, Z: np.ndarray, order: int = 1):
-        """Evaluate layer li on inputs Z, caching what the reverse passes need.
-
-        The cache keeps the window bases up to the order-th derivative with
-        their dense columns, the sigmoid of Z (base term only) and the folded
-        weights.
-        """
-        layer = self.layers[li]
-        bins, Cs = basis(Z, layer.hist.a, layer.hist.d, layer.omega, order)
-        cols = window_columns(bins, layer.coef.shape[2])
-        Wf = layer.folded_weights()
-        Y = layer.basis_product(cols, Cs[0], Wf)
-        sig = None
-        if layer.use_base:
-            sig = _sigmoid(Z)
-            Y += silu(Z, sig) @ layer.w_b
-        if not np.all(np.isfinite(Y)):
-            raise NonFiniteError(li)
-        return Y, {"Z": Z, "cols": cols, "Cs": Cs, "sig": sig, "Wf": Wf}
-
     def _inputs(self, X) -> np.ndarray:
         """X as a float (B, n) array.  NaN is refused; ±inf passes, since the
         splines are constant outside their domains (``clf simulate`` feeds it)."""
@@ -350,19 +325,91 @@ class AdaptKanNet:
             raise NonFiniteError(0, "inputs")
         return Z
 
+    def _forward(self, Z, Zdot, observe=None):
+        """Run the stack on inputs Z (B, n) with T >= 0 tangents Zdot (B, n, T);
+        ``observe(li, Z)``, when given, runs before layer li evaluates Z.
+
+        Returns (outputs, output tangents, caches).  A cache keeps Z, Zdot,
+        the window bases up to order 2 (1 when T = 0) with their dense
+        columns, the sigmoid of Z (base term only) and the folded weights.
+        """
+        T = Zdot.shape[2]
+        caches = []
+        for li, layer in enumerate(self.layers):
+            if observe is not None:
+                observe(li, Z)
+            bins, Cs = basis(Z, layer.hist.a, layer.hist.d, layer.omega, 2 if T else 1)
+            cols = window_columns(bins, layer.coef.shape[2])
+            Wf = layer.folded_weights()
+            Y = layer.basis_product(cols, Cs[0], Wf)
+            sig = None
+            if layer.use_base:
+                sig = _sigmoid(Z)
+                Y += silu(Z, sig) @ layer.w_b
+            if not np.all(np.isfinite(Y)):
+                raise NonFiniteError(li)
+            Ydot = np.empty(Y.shape + (T,))
+            for t in range(T):
+                Ydot[:, :, t] = layer.basis_product(cols, Cs[1] * Zdot[:, :, t, None], Wf)
+            if layer.use_base and T:
+                Ydot += np.einsum("bn,bnt,nm->bmt", silu_d1(Z, sig), Zdot, layer.w_b)
+            caches.append({"Z": Z, "Zdot": Zdot, "cols": cols, "Cs": Cs, "sig": sig, "Wf": Wf})
+            Z, Zdot = Y, Ydot
+        return Z, Zdot, caches
+
+    def _reverse(self, caches, G, Gdot, activation_grads=None, param_grads: bool = True):
+        """Reverse pass over :meth:`_forward` from the output cotangent G (B, m)
+        and the T >= 0 tangent cotangents Gdot (B, m, T).
+
+        ``activation_grads`` adds per-activation cotangents (list over layers
+        of (B, n, m)) to G.  Returns (per-layer gradient dicts, or None
+        without ``param_grads``, input cotangent, input tangent cotangent).
+        With T = 0 no tangent or curvature term runs.
+        """
+        T = Gdot.shape[2]
+        grads = [None] * len(self.layers) if param_grads else None
+        for li in range(len(self.layers) - 1, -1, -1):
+            layer = self.layers[li]
+            c = caches[li]
+            Z, Zdot, cols, Cs, sig, Wf = c["Z"], c["Zdot"], c["cols"], c["Cs"], c["sig"], c["Wf"]
+            E = G if activation_grads is None else G[:, None, :] + activation_grads[li]
+            gZ = (layer.window_cotangent(cols, E, Wf) * Cs[1]).sum(axis=2)
+            gZdot = np.empty(Z.shape + (T,))
+            for t in range(T):
+                H = layer.window_cotangent(cols, Gdot[:, :, t], Wf)
+                gZdot[:, :, t] = (H * Cs[1]).sum(axis=2)
+                gZ += Zdot[:, :, t] * (H * Cs[2]).sum(axis=2)
+            if layer.use_base:  # E is (B, m), or (B, n, m) per feature
+                sd1 = silu_d1(Z, sig)
+                base = sd1 * (E @ layer.w_b.T if E.ndim == 2 else (E * layer.w_b).sum(axis=2))
+                if T:
+                    Hb = np.einsum("bit,ji->bjt", Gdot, layer.w_b)
+                    base += silu_d2(Z, sig) * (Zdot * Hb).sum(axis=2)
+                    gZdot += sd1[:, :, None] * Hb
+                gZ += base
+            if param_grads:
+                GD = layer.basis_cotangent(cols, Cs[0], E)
+                for t in range(T):
+                    GD += layer.basis_cotangent(cols, Cs[1] * Zdot[:, :, t, None], Gdot[:, :, t])
+                GB = None
+                if layer.use_base:
+                    sv = silu(Z, sig)
+                    GB = sv.T @ E if E.ndim == 2 else np.einsum("rj,rjm->jm", sv, E)
+                    if T:
+                        GB += np.einsum("bj,bjt,bit->ji", sd1, Zdot, Gdot)
+                grads[li] = layer.param_grads(GD, GB)
+            G, Gdot = gZ, gZdot
+        return grads, G, Gdot
+
     def forward(self, X, record: bool = False):
         """Run the stack; with ``record`` update histograms and adapt first.
 
         Returns (outputs, caches); pass the caches to :meth:`backward`.
         """
         Z = self._inputs(X)
-        caches = []
-        for li in range(len(self.layers)):
-            if record:
-                self._observe(li, Z)
-            Z, cache = self._layer_eval(li, Z)
-            caches.append(cache)
-        return Z, caches
+        Y, _, caches = self._forward(Z, np.empty(Z.shape + (0,)),
+                                     self._observe if record else None)
+        return Y, caches
 
     def backward(self, caches, grad_out, activation_grads=None, param_grads: bool = True):
         """Reverse-mode gradients from an output cotangent.
@@ -375,53 +422,22 @@ class AdaptKanNet:
         Returns (per-layer gradient dicts, gradient w.r.t. the inputs).
         """
         G = np.asarray(grad_out, dtype=float)
-        grads = [None] * len(self.layers) if param_grads else None
-        for li in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[li]
-            c = caches[li]
-            Z, cols, (C, C1), sig, Wf = c["Z"], c["cols"], c["Cs"][:2], c["sig"], c["Wf"]
-            E = G if activation_grads is None else G[:, None, :] + activation_grads[li]
-            if param_grads:
-                GB = _base_cotangent(silu(Z, sig), E) if layer.use_base else None
-                grads[li] = layer.param_grads(layer.basis_cotangent(cols, C, E), GB)
-            G = (layer.window_cotangent(cols, E, Wf) * C1).sum(axis=2)
-            if layer.use_base:
-                G += silu_d1(Z, sig) * _base_input(E, layer.w_b)
-        return grads, G
-
-    # ------------------------------------------------------------------
-    # forward tangents (directional input derivatives) and their reverse
-    # ------------------------------------------------------------------
+        grads, gX, _ = self._reverse(caches, G, np.empty(G.shape + (0,)), activation_grads,
+                                     param_grads)
+        return grads, gX
 
     def forward_jvp(self, X, tangents, record: bool = False):
-        """Forward pass carrying T tangent channels per sample.
+        """Forward pass carrying T >= 0 tangent channels per sample.
 
         ``tangents`` has shape (B, n, T); channel t propagates the
         directional derivative of every intermediate along tangents[:, :, t].
-        Returns (Y, Ydot, caches) with Ydot of shape (B, m, T).  A tangent
-        contracts like a value, with the derivative basis C1 scaled by the
-        tangent in place of C.
+        Returns (Y, Ydot, caches) with Ydot of shape (B, m, T).
         """
         Z = self._inputs(X)
         Zdot = np.asarray(tangents, dtype=float)
         if Zdot.shape[:2] != Z.shape:
             raise ValueError(f"tangent shape {Zdot.shape} does not match input {Z.shape}")
-        caches = []
-        for li in range(len(self.layers)):
-            if record:
-                self._observe(li, Z)
-            layer = self.layers[li]
-            Y, cache = self._layer_eval(li, Z, order=2)
-            cols, C1 = cache["cols"], cache["Cs"][1]
-            Ydot = np.empty(Y.shape + Zdot.shape[2:])
-            for t in range(Zdot.shape[2]):
-                Ydot[:, :, t] = layer.basis_product(cols, C1 * Zdot[:, :, t, None], cache["Wf"])
-            if layer.use_base:
-                Ydot += np.einsum("bn,bnt,nm->bmt", silu_d1(Z, cache["sig"]), Zdot, layer.w_b)
-            cache["Zdot"] = Zdot
-            caches.append(cache)
-            Z, Zdot = Y, Ydot
-        return Z, Zdot, caches
+        return self._forward(Z, Zdot, self._observe if record else None)
 
     def backward_jvp(self, caches, grad_out, grad_out_dot):
         """Reverse pass over :meth:`forward_jvp`'s computation.
@@ -431,35 +447,8 @@ class AdaptKanNet:
         parameter gradient dicts plus input/tangent cotangents; curvature
         (second-derivative) terms of the splines and SiLU enter here.
         """
-        G = np.asarray(grad_out, dtype=float)
-        Gdot = np.asarray(grad_out_dot, dtype=float)
-        grads = [None] * len(self.layers)
-        for li in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[li]
-            c = caches[li]
-            Z, Zdot, cols, (C, C1, C2), Wf = c["Z"], c["Zdot"], c["cols"], c["Cs"], c["Wf"]
-            T = Zdot.shape[2]
-            GD = layer.basis_cotangent(cols, C, G)
-            for t in range(T):
-                GD += layer.basis_cotangent(cols, C1 * Zdot[:, :, t, None], Gdot[:, :, t])
-            gZ = (layer.window_cotangent(cols, G, Wf) * C1).sum(axis=2)
-            gZdot = np.empty(Zdot.shape)
-            for t in range(T):
-                H = layer.window_cotangent(cols, Gdot[:, :, t], Wf)
-                gZdot[:, :, t] = (H * C1).sum(axis=2)
-                gZ += Zdot[:, :, t] * (H * C2).sum(axis=2)
-            GB = None
-            if layer.use_base:
-                sv = silu(Z, c["sig"])
-                sd1 = silu_d1(Z, c["sig"])
-                sd2 = silu_d2(Z, c["sig"])
-                GB = sv.T @ G + np.einsum("bj,bjt,bit->ji", sd1, Zdot, Gdot)
-                Hb = np.einsum("bit,ji->bjt", Gdot, layer.w_b)
-                gZ += sd1 * (G @ layer.w_b.T) + sd2 * (Zdot * Hb).sum(axis=2)
-                gZdot += sd1[:, :, None] * Hb
-            grads[li] = layer.param_grads(GD, GB)
-            G, Gdot = gZ, gZdot
-        return grads, G, Gdot
+        return self._reverse(caches, np.asarray(grad_out, dtype=float),
+                             np.asarray(grad_out_dot, dtype=float))
 
     # ------------------------------------------------------------------
     # parameter plumbing

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +82,15 @@ def lr_at(lr0: float, step: int, steps: int, poly_decay: bool = True) -> float:
 
 
 def require_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer >= 1."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
+    """Raise ValueError unless ``value`` is an integer >= 1; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a finite real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -93,6 +100,7 @@ class Round:
     omega: int
 
     def __post_init__(self):
+        require_real("lr", self.lr)
         require_count("steps", self.steps)
         require_count("omega", self.omega)
 
@@ -121,6 +129,10 @@ class TrainPlan:
             raise ValueError(f"round omegas must be non-decreasing, got {omegas}")
         if self.optimizer not in ("adam", "adamw"):
             raise ValueError(f"optimizer must be 'adam' or 'adamw', got {self.optimizer!r}")
+        require_real("weight_decay", self.weight_decay)
+        require_real("sparsity_lambda", self.sparsity_lambda)
+        if not isinstance(self.poly_decay, (bool, np.bool_)):
+            raise ValueError(f"poly_decay must be true or false, got {self.poly_decay!r}")
 
 
 def minibatches(X, y, batch_size: int, seed: int, adapt_mode: str = "auto",

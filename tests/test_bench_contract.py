@@ -87,6 +87,11 @@ def test_training_spans_are_traced_once_per_layer():
     assert calls["spline.refit_least_squares"] == (calls["adapt.apply_adapt"]
                                                    + calls["spline.refine_grid"])
     assert calls["optim.Adam.step"] == steps
+    # the value passes open their own spans only: no tangent pass runs
+    # inside them, so each per-layer network metric counts what it names
+    assert calls["network.backward"] == steps
+    assert calls["network.forward"] == steps + 2 * len(plan.rounds)  # + train/test RMSE
+    assert "network.forward_jvp" not in calls and "network.backward_jvp" not in calls
 
 
 def test_clf_training_spans_are_traced_once_per_step():
@@ -110,6 +115,7 @@ def test_clf_training_spans_are_traced_once_per_step():
     assert calls["clf.train_clf"] == 1
     assert calls["histogram.update"] == calls["adapt.decide"] == len(net.layers) * steps
     assert calls["optim.Adam.step"] == calls["clf.clf_loss_and_grads"] == steps
+    assert calls["network.forward_jvp"] == calls["network.backward_jvp"] == steps
 
 
 def test_crosscheck_script_runs(monkeypatch):

@@ -416,10 +416,45 @@ def test_train_config_with_misspelled_key_exits_2(tmp_path, capsys, corrupt):
     ("train", {**TRAIN_CFG, "rounds": [{"lr": 1e-2, "steps": 30, "omega": 2.5}]}),
     ("train", {**TRAIN_CFG, "init": {"omega": 5}}),  # first round trains at omega 3
     ("train", {**TRAIN_CFG, "rounds": []}),
+    # JSON true is a bool, not the count 1
+    ("train", {**TRAIN_CFG, "batch_size": True}),
+    ("train", {**TRAIN_CFG, "rounds": [{"lr": 1e-2, "steps": True, "omega": 3}]}),
+    ("train", {**TRAIN_CFG, "init": {"omega": 1},
+               "rounds": [{"lr": 1e-2, "steps": 30, "omega": True}]}),
+    ("clf", {**CLF_CFG, "epochs": True}),
+    ("train", {**TRAIN_CFG, "shape": [2, True, 1]}),
+    ("train", {**TRAIN_CFG, "train_n": True}),
 ])
 def test_trainer_settings_must_be_counts(tmp_path, capsys, command, cfg):
     argv = ["train"] if command == "train" else ["clf", "train"]
     path = write_cfg(tmp_path, cfg)
+    assert main(argv + ["--config", path, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("train", "seed", "x"),
+    ("train", "seed", 1.5),
+    ("train", "seed", True),
+    ("train", "seed", -1),
+    ("clf", "seed", "x"),
+    ("clf", "seed", 1.5),
+    ("clf", "lam_f", "x"),
+    ("clf", "k1", "x"),
+    ("clf", "tau", "x"),
+    ("clf", "lr", "x"),
+    ("clf", "eps", None),
+    ("clf", "bounds", [True, 3.0]),
+    ("train", "weight_decay", "x"),
+    ("train", "sparsity_lambda", "x"),
+    ("train", "rounds", [{"lr": "x", "steps": 30, "omega": 3}]),
+    ("train", "poly_decay", "x"),
+])
+def test_config_numbers_of_the_wrong_type_exit_2(tmp_path, capsys, command, key, value):
+    argv = ["train"] if command == "train" else ["clf", "train"]
+    path = write_cfg(tmp_path, {**(TRAIN_CFG if command == "train" else CLF_CFG), key: value})
     assert main(argv + ["--config", path, "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1

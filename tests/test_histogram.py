@@ -290,6 +290,27 @@ def test_invariants_after_updates():
     assert (h.extremes[:, 1] >= h.b).all()
 
 
+def test_extremes_follow_the_masked_rule_on_a_drifting_stream():
+    # each side's extreme is the running min (max) of the values ever seen
+    # below a (above b), bit for bit: feature 0 only ever brings -0.0 to its
+    # bound a = 0, which is not below it, and empty batches move nothing
+    rng = np.random.default_rng(4)
+    h = FeatureHistogram([0.0, -1.0, -0.5], [1.0, 1.0, 0.5], 8)
+    lo, hi = h.extremes[:, 0].copy(), h.extremes[:, 1].copy()
+    for step in range(60):
+        Z = rng.normal(0.03 * step, 0.6, size=(0 if step % 7 == 3 else 16, 3))
+        Z[:, 0] = np.abs(Z[:, 0])
+        Z[:1, 0] = -0.0
+        h.update(Z, 0.1)
+        below, above = Z < h.a, Z > h.b
+        if below.any():
+            lo = np.minimum(lo, np.where(below, Z, np.inf).min(axis=0))
+        if above.any():
+            hi = np.maximum(hi, np.where(above, Z, -np.inf).max(axis=0))
+        assert h.extremes.tobytes() == np.stack([lo, hi], axis=-1).tobytes()
+    assert not np.signbit(h.extremes[0, 0]) and (h.extremes[1:, 0] < h.a[1:]).all()
+
+
 def test_one_batch_histogram_is_one_rule_for_snaps_and_scorers():
     rng = np.random.default_rng(5)
     ties = np.round(rng.uniform(-2.0, 2.0, size=(500, 4)), 1)

@@ -23,6 +23,12 @@ Parts (all by default):
   ood      ``ood fit`` and ``ood score`` files at 1, 7 and 200 bins on a
            Gaussian, a constant-column and a many-ties matrix, and
            ``score_hist_msp`` on each scorer
+  passes   ``forward``, ``backward`` (plain, with the sparsity penalty's
+           activation cotangents, and without weight gradients),
+           ``forward_jvp`` and ``backward_jvp`` on fixed inputs, then a
+           recording forward and a manual snap, for a [2, 5, 1] kan, a
+           [2, 32, 32, 1] kan at omega 50 over several row blocks, and a
+           [2, 10] linear network, each with 2 tangent channels
 
 A training run covers its history, flat parameters, each layer's histogram
 ``a``/``b``/``counts``/``extremes`` and the network's adaptation event count.
@@ -38,11 +44,17 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+# An adaptation refit can round differently under another BLAS thread
+# count, so the script pins one thread to compare two checkouts alike.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (after the thread pin)
 
 FEYNMAN_LRS = (0.01, 0.005, 0.001, 0.0005, 0.0001)
 FEYNMAN_OMEGAS = (3, 5, 10, 20, 50)
@@ -254,8 +266,53 @@ def part_ood(work: Path) -> dict:
     return out
 
 
+def grad_digests(prefix: str, grads) -> dict:
+    """Digests of per-layer gradient dicts."""
+    return {f"{prefix}/L{li}/{name}": sha(g[name]) for li, g in enumerate(grads) for name in g}
+
+
+def part_passes(work: Path) -> dict:
+    """Each pass of three networks on fixed inputs, a share of them outside
+    the domains: outputs, tangents, gradient dicts and input cotangents."""
+    from adaptkan import init_network
+    from adaptkan.network import sparsity_penalty
+    out = {}
+    for name, shape, mode, omega, B in (("kan_small", [2, 5, 1], "kan", 5, 64),
+                                        ("kan_wide", [2, 32, 32, 1], "kan", 50, 200),
+                                        ("linear", [2, 10], "linear", 3, 64)):
+        rng = np.random.default_rng(len(shape) + omega)
+        net = init_network(shape, mode=mode, noise=0.5, seed=1, omega=omega)
+        X = rng.uniform(-1.3, 1.3, (B, shape[0]))
+        tangents = rng.normal(size=(B, shape[0], 2))
+        G = rng.normal(size=(B, shape[-1]))
+        Gdot = rng.normal(size=(B, shape[-1], 2))
+        key = f"passes/{name}"
+        Y, caches = net.forward(X)
+        out[f"{key}/forward"] = sha(Y)
+        grads, gX = net.backward(caches, G)
+        out.update(grad_digests(f"{key}/backward", grads))
+        out[f"{key}/backward/gX"] = sha(gX)
+        _, extras = sparsity_penalty(net, caches, 0.1)
+        grads, gX = net.backward(caches, G, extras)
+        out.update(grad_digests(f"{key}/backward_sparse", grads))
+        out[f"{key}/backward_sparse/gX"] = sha(gX)
+        out[f"{key}/backward_input/gX"] = sha(net.backward(caches, G, param_grads=False)[1])
+        Y, Ydot, caches = net.forward_jvp(X, tangents)
+        out[f"{key}/forward_jvp/Y"] = sha(Y)
+        out[f"{key}/forward_jvp/Ydot"] = sha(Ydot)
+        grads, gX, gXdot = net.backward_jvp(caches, G, Gdot)
+        out.update(grad_digests(f"{key}/backward_jvp", grads))
+        out[f"{key}/backward_jvp/gX"] = sha(gX)
+        out[f"{key}/backward_jvp/gXdot"] = sha(gXdot)
+        out[f"{key}/forward_record"] = sha(net.forward(X, record=True)[0])
+        out[f"{key}/forward_jvp_record"] = sha(net.forward_jvp(X, tangents, record=True)[1])
+        net.manual_adapt_all(X[:B // 2])
+        out.update(net_digests(f"{key}/adapted", net, []))
+    return out
+
+
 PARTS = {"regress": part_regress, "c05": part_c05, "c06": part_c06, "modes": part_modes,
-         "clf": part_clf, "cli": part_cli, "ood": part_ood}
+         "clf": part_clf, "cli": part_cli, "ood": part_ood, "passes": part_passes}
 
 
 def collect(parts, work: Path) -> dict:
