@@ -13,10 +13,15 @@ grid intervals fixed.
 
 A manual baseline is also provided that simply snaps every domain to the
 min/max of a single batch, with the histogram of that batch alone.
+
+It also holds the config rules every config object uses: the number checks
+:func:`require_count` and :func:`require_real`, and the builder :func:`from_json`.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +32,26 @@ from .spline import refit_greville, refit_least_squares
 STRETCH_MODES = ("max", "half_max", "mean", "edge")
 SHRINK_RULES = ("fixed", "relative")
 REFIT_MODES = ("exact_lsq", "greville")
+
+
+def require_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 1; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a finite real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def from_json(fn, fields, what: str):
+    """``fn(**fields)``; a block not an object, or an unknown or repeated key, is a ValueError."""
+    try:
+        return fn(**fields)
+    except TypeError as exc:
+        raise ValueError(f"malformed {what}: {exc}") from None
 
 
 @dataclass
@@ -47,24 +72,15 @@ class AdaptConfig:
     outlier_count: int = 1
 
     def __post_init__(self):
+        require_real("alpha", self.alpha)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"need 0 < alpha <= 1, got {self.alpha}")
-        if self.prune_patience < 1:
-            raise ValueError(f"need prune_patience >= 1, got {self.prune_patience}")
-        if self.stretch_mode not in STRETCH_MODES:
-            raise ValueError(f"stretch_mode must be one of {STRETCH_MODES}")
-        if self.shrink_rule not in SHRINK_RULES:
-            raise ValueError(f"shrink_rule must be one of {SHRINK_RULES}")
-        if self.refit_mode not in REFIT_MODES:
-            raise ValueError(f"refit_mode must be one of {REFIT_MODES}")
-
-    @classmethod
-    def from_dict(cls, fields) -> "AdaptConfig":
-        """Build from a JSON ``adapt`` object; a malformed one raises ValueError."""
-        try:
-            return cls(**fields)
-        except TypeError as exc:  # not a mapping, unknown key, or a mistyped value
-            raise ValueError(f"malformed adapt block: {exc}") from None
+        require_count("prune_patience", self.prune_patience)
+        require_count("outlier_count", self.outlier_count)
+        for name, allowed in (("stretch_mode", STRETCH_MODES), ("shrink_rule", SHRINK_RULES),
+                              ("refit_mode", REFIT_MODES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}")
 
 
 def shrink_threshold(cfg: AdaptConfig, hist: np.ndarray | None = None):

@@ -17,8 +17,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .adapt import require_count, require_real
 from .network import AdaptKanNet, NonFiniteError
-from .optim import Adam, minibatches, require_count, require_real
+from .optim import Adam, minibatches
 
 
 def dynamics_f(X) -> np.ndarray:
@@ -101,8 +102,9 @@ def simulate(x0, u_fn=None, horizon: float = 10.0, dt: float = 0.01,
     shape (steps + 1, K, 2).
     """
     for name, value in (("horizon", horizon), ("dt", dt)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        require_real(name, value)
+        if value <= 0.0:
+            raise ValueError(f"{name} must be > 0, got {value!r}")
     steps = round(min(horizon / dt, MAX_SIM_STEPS + 1))  # the ratio may overflow to inf
     if not 1 <= steps <= MAX_SIM_STEPS:
         raise ValueError(f"horizon / dt = {horizon / dt!r} must round to 1..{MAX_SIM_STEPS} steps")

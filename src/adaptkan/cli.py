@@ -19,7 +19,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .adapt import AdaptConfig
+from .adapt import AdaptConfig, from_json, require_count, require_real
 from .clf import (
     ClfLossConfig,
     ConformalReport,
@@ -33,7 +33,7 @@ from .clf import (
 from .model_io import load_model, save_model
 from .network import NonFiniteError, init_network
 from .ood import DEFAULT_BINS_HIST, OodScorer, auroc
-from .optim import TrainPlan, require_count, train
+from .optim import TrainPlan, train
 from .tasks import generate, get_task, load_dataset, read_table, rmse, write_table
 
 EXIT_OK = 0
@@ -100,15 +100,13 @@ def _given_fields(cls, cfg: dict) -> dict:
 
 
 def _build_net(cfg: dict, shape, seed: int):
-    """The config's network; ``init`` holds keywords of :func:`init_network`."""
-    init = cfg.get("init", {})
-    if not isinstance(init, dict):
-        raise ConfigError("init must be a JSON object")
-    adapt = AdaptConfig.from_dict(cfg.get("adapt", {}))
-    try:
+    """The config's network; ``init`` holds :func:`init_network` keywords but seed and cfg."""
+    adapt = from_json(AdaptConfig, cfg.get("adapt", {}), "adapt block")
+
+    def build(**init):  # a partial would let an init "seed" override the run's seed
         return init_network(shape, seed=seed, cfg=adapt, **init)
-    except TypeError as exc:  # unknown or repeated key, or a mistyped value
-        raise ConfigError(f"malformed init block: {exc}") from None
+
+    return from_json(build, cfg.get("init", {}), "init block")
 
 
 # ----------------------------------------------------------------------
@@ -191,10 +189,11 @@ def cmd_clf_train(args) -> int:
     seed = _seed(args, cfg)
     loss_cfg = ClfLossConfig(**_given_fields(ClfLossConfig, cfg))
     bounds = cfg.get("bounds", [-3.0, 3.0])
-    if not (isinstance(bounds, list) and len(bounds) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-                    for v in bounds)
-            and bounds[0] < bounds[1]):
+    if not (isinstance(bounds, list) and len(bounds) == 2):
+        raise ConfigError(f"bounds must be two finite numbers lo < hi, got {bounds!r}")
+    for v in bounds:
+        require_real("each bound", v)
+    if not bounds[0] < bounds[1]:
         raise ConfigError(f"bounds must be two finite numbers lo < hi, got {bounds!r}")
     rng = np.random.default_rng(seed)
     X_tr = rng.uniform(bounds[0], bounds[1], size=(sizes["train_n"], shape[0]))

@@ -103,7 +103,7 @@ class FeatureHistogram:
         if not (lo < hi).all():  # beyond about 1.7e10, 1e-6 is below half an ulp
             raise ValueError("a constant feature is too large to widen by 1e-6")
         h = cls(lo, hi, omega)
-        h.counts[...] = h.batch_counts(Z)[0]
+        h.counts[...] = h.batch_counts(Z)
         return h
 
     @property
@@ -129,25 +129,22 @@ class FeatureHistogram:
         hist, a, b, omega = self.hist, self.a, self.b, self.omega
         totals = hist.sum(axis=1, keepdims=True)
         probs = np.divide(hist, totals, out=np.zeros(hist.shape), where=totals > 0.0)
-        idx = histogram_bin(np.clip(x, a, b), a, b, omega) + omega * np.arange(a.size)
+        idx = histogram_bin(x, a, b, omega) + omega * np.arange(a.size)
         p = np.maximum(probs.ravel()[idx], PROB_FLOOR)
         return np.where((x >= a) & (x <= b), p, PROB_FLOOR)
 
-    def batch_counts(self, batch):
+    def batch_counts(self, batch) -> np.ndarray:
         """Raw counts (n, omega+2) of a finite batch (B, n), laid out like
-        ``counts``, and the masks of its values below a and above b.
+        ``counts``.
 
         In-domain values are binned by :func:`histogram_bin`.
         """
         Z = np.asarray(batch, dtype=float)
-        omega = self.omega
-        below, above = Z < self.a, Z > self.b
-        col = histogram_bin(Z, self.a, self.b, omega)
-        col[below] = -1
-        col[above] = omega
-        col += (omega + 2) * np.arange(self.a.size) + 1
-        counts = np.bincount(col.ravel(), minlength=self.counts.size)
-        return counts.reshape(self.counts.shape), below, above
+        col = histogram_bin(Z, self.a, self.b, self.omega)
+        col[Z < self.a] = -1
+        col[Z > self.b] = self.omega
+        col += (self.omega + 2) * np.arange(self.a.size) + 1
+        return np.bincount(col.ravel(), minlength=self.counts.size).reshape(self.counts.shape)
 
     def update(self, batch, alpha: float) -> "FeatureHistogram":
         """Blend one batch (B, n) into the EMA state at rate ``alpha`` (in place).
@@ -160,7 +157,7 @@ class FeatureHistogram:
         Z = np.asarray(batch, dtype=float)
         if not np.isfinite(Z).all():
             raise ValueError("non-finite values in histogram batch")
-        counts = self.batch_counts(Z)[0]
+        counts = self.batch_counts(Z)
         self.counts *= 1.0 - alpha
         self.counts += alpha * counts
         # a feature with values below a has its batch min among them, so

@@ -11,7 +11,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .adapt import AdaptConfig
+from .adapt import AdaptConfig, from_json
 from .histogram import FeatureHistogram
 from .network import AdaptKanLayer, AdaptKanNet
 from .spline import GridDomain
@@ -97,7 +97,7 @@ def load_model(path) -> AdaptKanNet:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    cfg = AdaptConfig.from_dict(doc["adapt"])
+    cfg = from_json(AdaptConfig, doc["adapt"], "adapt block")
     if not isinstance(doc["layers"], list):
         raise ValueError(f"model file {path}: layers is not a JSON list")
     return AdaptKanNet([_layer_from_dict(d, cfg.alpha) for d in doc["layers"]], cfg)

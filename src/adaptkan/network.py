@@ -51,9 +51,9 @@ import math
 
 import numpy as np
 
-from .adapt import AdaptConfig, apply_adapt, decide, manual_adapt
+from .adapt import AdaptConfig, apply_adapt, decide, manual_adapt, require_count, require_real
 from .histogram import FeatureHistogram
-from .spline import GridDomain, basis, dense_basis, greville_abscissae, refine_grid, window_columns
+from .spline import basis, dense_basis, greville_abscissae, refine_grid, window_columns
 
 
 class NonFiniteError(FloatingPointError):
@@ -475,32 +475,33 @@ def init_network(shape, mode: str = "kan", noise: float = 0.5, seed: int = 0,
     scaled SiLU base term (scales start at 1).  "linear" mode sets the
     coefficients to samples of a line at the Greville points (random slope
     per activation unless ``slope`` is given) plus noise * N(0, 1), with no
-    base term, so noise=0 yields an exactly linear network.
+    base term, so noise=0 yields an exactly linear network.  ``noise``, ``slope``
+    and the ``domain`` bounds must be finite numbers, ``omega`` an integer >= 1.
     """
     if mode not in ("kan", "linear"):
         raise ValueError(f"unknown init mode {mode!r}")
     if len(shape) < 2:
         raise ValueError("shape needs at least input and output widths")
+    lo, hi = domain
+    for name, value in (("noise", noise), ("domain lo", lo), ("domain hi", hi)):
+        require_real(name, value)
+    if slope is not None:
+        require_real("slope", slope)
+    require_count("omega", omega)
     rng = np.random.default_rng(seed)
+    use_base = mode == "kan"
     layers = []
-    dom = GridDomain(domain[0], domain[1], omega)
     for n, m in zip(shape[:-1], shape[1:]):
-        hist = FeatureHistogram(np.full(n, dom.a), np.full(n, dom.b), omega)
-        P = omega + 3
-        if mode == "kan":
-            coef = noise * rng.standard_normal((n, m, P))
-            w_s = np.ones((n, m))
-            w_b = np.ones((n, m))
-            use_base = True
+        if use_base:
+            coef = noise * rng.standard_normal((n, m, omega + 3))
         else:
-            g = greville_abscissae(dom.a, dom.b, omega)
             slopes = (np.full((n, m), float(slope)) if slope is not None
                       else rng.standard_normal((n, m)))
-            coef = slopes[:, :, None] * g + noise * rng.standard_normal((n, m, P))
-            w_s = np.ones((n, m))
-            w_b = np.zeros((n, m))
-            use_base = False
-        layers.append(AdaptKanLayer(n, m, hist, coef, w_s, w_b, use_base))
+            coef = (slopes[:, :, None] * greville_abscissae(lo, hi, omega)
+                    + noise * rng.standard_normal((n, m, omega + 3)))
+        layers.append(AdaptKanLayer(n, m, FeatureHistogram(np.full(n, lo), np.full(n, hi), omega),
+                                    coef, np.ones((n, m)), np.full((n, m), float(use_base)),
+                                    use_base))
     return AdaptKanNet(layers, cfg)
 
 

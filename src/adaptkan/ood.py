@@ -15,8 +15,8 @@ import json
 
 import numpy as np
 
+from .adapt import require_count, require_real
 from .histogram import FeatureHistogram
-from .optim import require_count
 
 DEFAULT_BINS_HIST = 200      # histogram-only scoring
 DEFAULT_MSP_LAMBDA = 0.1
@@ -27,10 +27,9 @@ class OodScorer:
     positive in-domain count, and a finite fusion weight ``msp_lambda``."""
 
     def __init__(self, hist: FeatureHistogram, msp_lambda: float = DEFAULT_MSP_LAMBDA):
+        require_real("msp_lambda", msp_lambda)
         self.hist = hist
         self.msp_lambda = float(msp_lambda)
-        if not np.isfinite(self.msp_lambda):
-            raise ValueError(f"msp_lambda must be finite, got {msp_lambda!r}")
         if (hist.hist.sum(axis=1) <= 0.0).any():
             raise ValueError("every feature histogram needs positive total count")
 

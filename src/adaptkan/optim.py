@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .adapt import from_json, require_count, require_real
 from .network import AdaptKanNet, NonFiniteError, sparsity_penalty
 from .tasks import rmse
 
@@ -81,18 +81,6 @@ def lr_at(lr0: float, step: int, steps: int, poly_decay: bool = True) -> float:
     return lr0 * (1.0 - 0.9 * frac * frac)
 
 
-def require_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer >= 1; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-def require_real(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a finite real number; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
 @dataclass
 class Round:
     lr: float
@@ -118,12 +106,10 @@ class TrainPlan:
     sparsity_lambda: float = 0.0
 
     def __post_init__(self):
-        try:
-            self.rounds = [r if isinstance(r, Round) else Round(**r) for r in self.rounds]
-        except TypeError as exc:  # a round that is not a mapping of Round's fields
-            raise ValueError(f"malformed round: {exc}") from None
-        if not self.rounds:
-            raise ValueError("need at least one round")
+        if not isinstance(self.rounds, (list, tuple)) or not self.rounds:
+            raise ValueError(f"need a list of at least one round, got {self.rounds!r}")
+        self.rounds = [r if isinstance(r, Round) else from_json(Round, r, "round")
+                       for r in self.rounds]
         omegas = [r.omega for r in self.rounds]
         if any(b < a for a, b in zip(omegas, omegas[1:])):
             raise ValueError(f"round omegas must be non-decreasing, got {omegas}")

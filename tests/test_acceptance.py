@@ -119,7 +119,7 @@ def test_criterion_03_ema_exactness():
     # binary floats, so the geometric identity holds bitwise
     h = _one_feature([8.0, 0.0, 4.0, 2.0])
     batch = np.array([[0.1], [0.3], [0.6], [0.9]])
-    target = h.batch_counts(batch)[0]
+    target = h.batch_counts(batch)
     diff0 = h.counts - target
     exact = True
     for t in range(1, 51):

@@ -263,11 +263,15 @@ def test_decide_shrink_bounds_lie_on_bin_edges():
 
 def test_config_validation():
     AdaptConfig(alpha=1.0)
-    for alpha in (0.0, -0.5, 1.5):  # alpha out of (0, 1]
+    for alpha in (0.0, -0.5, 1.5, True):  # alpha out of (0, 1], or not a number
         with pytest.raises(ValueError):
             AdaptConfig(alpha=alpha)
-    with pytest.raises(ValueError):
-        AdaptConfig(prune_patience=0)
+    for patience in (0, 2.5):
+        with pytest.raises(ValueError):
+            AdaptConfig(prune_patience=patience)
+    for count in (0, "x", True):
+        with pytest.raises(ValueError):
+            AdaptConfig(outlier_count=count)
     with pytest.raises(ValueError):
         AdaptConfig(stretch_mode="huge")
     with pytest.raises(ValueError):

@@ -383,8 +383,17 @@ def _misspelled_init_key(cfg):
     cfg["init"] = {"omgea": 10}
 
 
+def _init_repeats_the_seed(cfg):
+    cfg["init"] = {"seed": 1}  # the run's seed is passed to init_network already
+
+
+def _rounds_is_a_number(cfg):
+    cfg["rounds"] = 5
+
+
 @pytest.mark.parametrize("corrupt", [_misspelled_adapt_key, _misspelled_round_key,
-                                     _misspelled_init_key])
+                                     _misspelled_init_key, _init_repeats_the_seed,
+                                     _rounds_is_a_number])
 def test_train_config_with_misspelled_key_exits_2(tmp_path, capsys, corrupt):
     cfg = json.loads(json.dumps(TRAIN_CFG))
     corrupt(cfg)
@@ -451,6 +460,20 @@ def test_trainer_settings_must_be_counts(tmp_path, capsys, command, cfg):
     ("train", "sparsity_lambda", "x"),
     ("train", "rounds", [{"lr": "x", "steps": 30, "omega": 3}]),
     ("train", "poly_decay", "x"),
+    ("train", "adapt", {"alpha": True}),
+    ("train", "adapt", {"prune_patience": True}),
+    ("train", "adapt", {"prune_patience": 2.5}),
+    ("train", "adapt", {"outlier_count": -3}),
+    ("train", "adapt", {"outlier_count": "x"}),
+    ("clf", "adapt", {"outlier_count": "x"}),
+    ("train", "init", {"noise": True}),
+    ("train", "init", {"noise": math.nan}),
+    ("train", "init", {"noise": "x"}),
+    ("train", "init", {"omega": True}),
+    ("train", "init", {"mode": "linear", "slope": True}),
+    ("train", "init", {"domain": [True, 3]}),
+    ("train", "init", {"domain": [0, "1"]}),
+    ("train", "init", {"domain": [0.0]}),
 ])
 def test_config_numbers_of_the_wrong_type_exit_2(tmp_path, capsys, command, key, value):
     argv = ["train"] if command == "train" else ["clf", "train"]
@@ -616,11 +639,19 @@ def _feature_alpha_differs(doc):
     return doc
 
 
+def _adapt_alpha_is_true(doc):
+    doc["adapt"]["alpha"] = True  # not the rate 1.0 that every feature records
+    for layer in doc["layers"]:
+        for feature in layer["features"]:
+            feature["hist"]["alpha"] = 1.0
+    return doc
+
+
 @pytest.mark.parametrize("corrupt", [_model_is_a_list, _adapt_is_a_list, _no_layers,
                                      _layer_is_a_number, _feature_is_a_list,
                                      _quadratic_features, _extreme_is_nan,
                                      _extreme_inside_domain, _feature_alpha_differs,
-                                     _negative_bin_count, _negative_tally])
+                                     _negative_bin_count, _negative_tally, _adapt_alpha_is_true])
 def test_eval_on_malformed_model_json_exits_2(tmp_path, capsys, corrupt):
     from adaptkan.tasks import save_dataset
     path, doc = _saved_model(tmp_path, [2, 3, 1])
@@ -686,12 +717,17 @@ def _scorer_lambda_is_a_list(doc):
     return doc
 
 
+def _scorer_lambda_is_true(doc):
+    doc["msp_lambda"] = True
+    return doc
+
+
 @pytest.mark.parametrize("corrupt", [_scorer_is_a_list, _scorer_without_counts,
                                      _scorer_lo_not_a_list, _scorer_empty_range,
                                      _scorer_nan_counts, _scorer_negative_counts,
                                      _scorer_infinite_lo, _scorer_nan_lambda,
                                      _scorer_lo_is_an_object, _scorer_counts_is_an_object,
-                                     _scorer_lambda_is_a_list])
+                                     _scorer_lambda_is_a_list, _scorer_lambda_is_true])
 def test_ood_score_on_malformed_scorer_json_exits_2(tmp_path, capsys, corrupt):
     fit = tmp_path / "fit.csv"
     write_features(fit, np.random.default_rng(11).normal(size=(100, 2)))

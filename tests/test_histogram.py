@@ -34,7 +34,7 @@ def bin_counts(samples, dom):
 
 def batch_counts(samples, dom):
     """Raw counts [below a, bins..., above b] of a one-feature batch."""
-    return one(dom).batch_counts(np.asarray(samples, dtype=float)[:, None])[0][0]
+    return one(dom).batch_counts(np.asarray(samples, dtype=float)[:, None])[0]
 
 
 def total(h):

@@ -19,7 +19,9 @@ Parts (all by default):
            and outlier_count 3; each run must make an adaptation event
   clf      6 epochs of ``train_clf`` on the perfbench clf config
   cli      the files and stdout of ``train``, ``clf train`` and
-           ``clf simulate``
+           ``clf simulate``, and of a second ``train`` run whose config
+           sets every ``adapt`` field to a non-default value and holds an
+           ``init`` block, with ``eval``'s stdout on that run's model
   ood      ``ood fit`` and ``ood score`` files at 1, 7 and 200 bins on a
            Gaussian, a constant-column and a many-ties matrix, and
            ``score_hist_msp`` on each scorer
@@ -66,6 +68,14 @@ CLF_CONFIG = {
     "lam_bowl": 1.0, "tau": 0.1, "bounds": [-3.0, 3.0],
     "init": {"mode": "linear", "noise": 0.1, "omega": 3, "domain": [-3.0, 3.0]},
     "adapt": {"alpha": 0.01, "stretch_mode": "max"},
+}
+# a train config whose adapt and init blocks hold a valid non-default value each
+ADAPT_TRAIN_CONFIG = {
+    "task": "II.38.3", "shape": [2, 4, 1], "batch_size": 64, "train_n": 400, "test_n": 200,
+    "rounds": [{"lr": 1e-2, "steps": 60, "omega": 4}, {"lr": 5e-3, "steps": 60, "omega": 8}],
+    "adapt": {"alpha": 0.05, "prune_patience": 2, "stretch_mode": "edge",
+              "shrink_rule": "relative", "refit_mode": "greville", "outlier_count": 3},
+    "init": {"noise": 0.3, "omega": 4, "domain": [-2.0, 2.0]},
 }
 OOD_BINS = (1, 7, 200)
 
@@ -214,14 +224,23 @@ def write_matrix(path: Path, X) -> None:
 
 
 def part_cli(work: Path) -> dict:
+    from adaptkan import generate, get_task
+    from adaptkan.tasks import save_dataset
     train_cfg = {"task": "II.38.3", "shape": [2, 5, 1], "batch_size": 64, "train_n": 400,
                  "test_n": 200, "rounds": [{"lr": 1e-2, "steps": 60, "omega": 3},
                                            {"lr": 5e-3, "steps": 60, "omega": 5}]}
     (work / "train.json").write_text(json.dumps(train_cfg))
+    (work / "adapt.json").write_text(json.dumps(ADAPT_TRAIN_CONFIG))
     (work / "clf.json").write_text(json.dumps({**CLF_CONFIG, "epochs": 2, "train_n": 2000}))
-    tr, clf = work / "train", work / "clf"
+    tr, ad, clf = work / "train", work / "adapt", work / "clf"
     out = run_cli("cli/train", ["train", "--config", work / "train.json", "--seed", 3,
                                 "--out-dir", tr], [tr / "model.json", tr / "metrics.csv"])
+    out.update(run_cli("cli/train_adapt",
+                       ["train", "--config", work / "adapt.json", "--seed", 4, "--out-dir", ad],
+                       [ad / "model.json", ad / "metrics.csv"]))
+    save_dataset(work / "eval.csv", *generate(get_task("II.38.3"), seed=5)[1])
+    out.update(run_cli("cli/eval_adapt", ["eval", "--model", ad / "model.json",
+                                          "--data", work / "eval.csv"], []))
     out.update(run_cli("cli/clf_train", ["clf", "train", "--config", work / "clf.json",
                                          "--seed", 1, "--out-dir", clf],
                        [clf / "model.json", clf / "clf_metrics.csv"]))
