@@ -23,13 +23,18 @@ single array and :meth:`AdaptKanNet.gradient_list` turns the gradients of a
 backward pass into one new flat array laid out the same way: the optimiser
 makes one fused update per step.
 
-Each layer is evaluated as matrix products against a dense cubic basis
+A layer contracts in one of two forms, chosen by its width m alone.  With
+m > 1 it is evaluated as matrix products against a dense cubic basis
 D (B, n*P), P = omega + 3, the basis-matrix form of efficient-kan applied
 to KAN: row b holds, in feature j's block of P columns, the four nonzero
 B-spline values of x_bj.  With w_s folded into the weights, Wf = coef * w_s
 laid out as (n*P, m), the layer output is D @ Wf + silu(Z) @ w_b, so the
 (B, n, m) activation tensor is never formed.  D is built in row blocks of at
-most BLOCK_ELEMS elements, bounding memory on whole-dataset passes.
+most BLOCK_ELEMS elements, bounding memory on whole-dataset passes.  With
+m = 1 the dense basis would hold 4 nonzeros in each block of P, so the layer
+contracts at the windows instead: it gathers the weights w = Wf[:, 0] at
+the window columns, sums their products with the window values, and scatters
+coefficient gradients back with a bincount over the window columns.
 
 Gradients are computed in closed form.  The network walks its layers in two
 places: ``_forward`` carries T >= 0 forward tangent channels (directional
@@ -41,8 +46,12 @@ losses built on input-gradients, e.g. Lie-derivative terms.  ``forward``,
 in which no tangent or curvature term runs.  Coefficient gradients are
 D.T @ G and input gradients G @ Wf.T read at each window against the
 derivative basis; a tangent contracts like a value, with the derivative
-window scaled by the tangent in place of the value window.  Per-activation
-values are formed only for the L1 sparsity penalty and its cotangent.
+window scaled by the tangent in place of the value window.  Each window is
+built in the pass that reads it: ``_forward`` builds the value window, and
+the first-derivative window only when it carries tangents; ``_reverse``
+builds the one further order it needs from what the forward located.  So a
+value pass builds no derivative window.  Per-activation values are formed
+only for the L1 sparsity penalty and its cotangent.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ import numpy as np
 
 from .adapt import AdaptConfig, apply_adapt, decide, manual_adapt, require_count, require_real
 from .histogram import FeatureHistogram
-from .spline import basis, dense_basis, greville_abscissae, refine_grid, window_columns
+from .spline import _locate, dense_basis, greville_abscissae, refine_grid, window_columns
 
 
 class NonFiniteError(FloatingPointError):
@@ -118,14 +127,18 @@ class AdaptKanLayer:
     Inside a network the trainable arrays are views into its flat parameter
     buffer: write into them, do not rebind them.
 
-    The layer is evaluated against a dense basis: row b of D (B, n*P) holds,
-    in feature j's block of P columns, the four nonzero cubic basis values of
-    x_bj at columns bins_bj .. bins_bj + 3.  With ``w_s`` folded into the
-    weights, Wf = (coef * w_s) laid out as (n*P, m), every contraction is one
-    matrix product: outputs D @ Wf (+ silu(Z) @ w_b), coefficient gradients
-    D.T @ G, and input gradients (G @ Wf.T) read back at each window.  D is
-    never held whole: it is built BLOCK_ELEMS elements' worth of rows at a
-    time, so memory stays bounded on full-dataset passes.
+    With m > 1 the layer is evaluated against a dense basis: row b of
+    D (B, n*P) holds, in feature j's block of P columns, the four nonzero
+    cubic basis values of x_bj at columns bins_bj .. bins_bj + 3.  With
+    ``w_s`` folded into the weights, Wf = (coef * w_s) laid out as (n*P, m),
+    every contraction is one matrix product: outputs D @ Wf (+ silu(Z) @ w_b),
+    coefficient gradients D.T @ G, and input gradients (G @ Wf.T) read back
+    at each window.  D is never held whole: it is built BLOCK_ELEMS elements'
+    worth of rows at a time, so memory stays bounded on full-dataset passes.
+    With m = 1 each contraction reads the windows directly: outputs sum
+    Wf[cols] times the window values, input gradients are Wf[cols] * G, and
+    coefficient gradients are one bincount of window values times G over
+    ``cols``.
     """
 
     def __init__(self, n: int, m: int, hist: FeatureHistogram, coef, w_s, w_b, use_base: bool):
@@ -152,10 +165,22 @@ class AdaptKanLayer:
         """Names of the arrays the optimiser updates, in buffer order."""
         return ("coef", "w_s", "w_b") if self.use_base else ("coef",)
 
-    def folded_weights(self) -> np.ndarray:
-        """(n*P, m) weights of the dense basis, w_s folded in under the base term."""
-        W = self.coef * self.w_s[:, :, None] if self.use_base else self.coef
-        return W.transpose(0, 2, 1).reshape(-1, self.m)
+    def pass_weights(self) -> dict:
+        """The weights one pass reads: ``Wf``, the (n*P, m) weights of the
+        dense basis with w_s folded in, and under the base term copies of
+        coef, w_s and w_b for the base path and the weight gradients.
+
+        None of them is a view of the trainable buffer, so a pass's cache keeps
+        the weights that pass used across later optimiser steps and refits.
+        """
+        Wf = np.empty((self.n, self.coef.shape[2], self.m))
+        if not self.use_base:
+            Wf[...] = self.coef.transpose(0, 2, 1)
+            return {"Wf": Wf.reshape(-1, self.m)}
+        W = {name: getattr(self, name).copy() for name in self.trainable()}
+        np.multiply(W["coef"].transpose(0, 2, 1), W["w_s"][:, None, :], out=Wf)
+        W["Wf"] = Wf.reshape(-1, self.m)
+        return W
 
     def dense_blocks(self, cols: np.ndarray, V: np.ndarray):
         """Yield (rows, dense basis of those rows) for window values V (R, n, 4).
@@ -169,6 +194,8 @@ class AdaptKanLayer:
 
     def basis_product(self, cols, V, Wf) -> np.ndarray:
         """dense(V) @ Wf: (R, m)."""
+        if self.m == 1:
+            return np.einsum("rns,rns->r", Wf[:, 0][cols], V)[:, None]
         out = np.empty((len(V), self.m))
         for r, D in self.dense_blocks(cols, V):
             out[r] = D @ Wf
@@ -177,6 +204,10 @@ class AdaptKanLayer:
     def basis_cotangent(self, cols, V, E) -> np.ndarray:
         """dense(V).T @ E as (n, P, m); E is (R, m), or (R, n, m) per feature."""
         P = self.coef.shape[2]
+        if self.m == 1:
+            out = np.bincount(cols.ravel(), weights=(V * E.reshape(len(E), -1, 1)).ravel(),
+                              minlength=self.n * P)
+            return out.reshape(self.n, P, 1)
         out = np.zeros((self.n, P, self.m))
         for r, D in self.dense_blocks(cols, V):
             if E.ndim == 2:
@@ -190,6 +221,8 @@ class AdaptKanLayer:
 
         E is (R, m), or (R, n, m) with a separate cotangent per feature.
         """
+        if self.m == 1:  # each entry is one product, so this equals the gather below
+            return Wf[:, 0][cols] * E.reshape(len(E), -1, 1)
         P = self.coef.shape[2]
         width = self.n * P
         out = np.empty(cols.shape)
@@ -205,22 +238,26 @@ class AdaptKanLayer:
 
     def activations(self, cache) -> np.ndarray:
         """Per-activation values phi_ij(x_bj) of a cached evaluation: (B, n, m)."""
-        P = self.coef.shape[2]
-        Wf3 = cache["Wf"].reshape(self.n, P, self.m)
-        C = cache["Cs"][0]
-        out = np.empty(C.shape[:2] + (self.m,))
-        for r, D in self.dense_blocks(cache["cols"], C):
-            out[r] = (D.reshape(-1, self.n, P).transpose(1, 0, 2) @ Wf3).transpose(1, 0, 2)
+        Wf, cols, C = cache["Wf"], cache["cols"], cache["Cs"][0]
+        if self.m == 1:
+            out = np.einsum("bns,bns->bn", Wf[:, 0][cols], C)[:, :, None]
+        else:
+            P = self.coef.shape[2]
+            out = np.empty(C.shape[:2] + (self.m,))
+            Wf3 = Wf.reshape(self.n, P, self.m)
+            for r, D in self.dense_blocks(cols, C):
+                out[r] = (D.reshape(-1, self.n, P).transpose(1, 0, 2) @ Wf3).transpose(1, 0, 2)
         if self.use_base:
-            out += self.w_b * silu(cache["Z"], cache["sig"])[:, :, None]
+            out += cache["w_b"] * silu(cache["Z"], cache["sig"])[:, :, None]
         return out
 
-    def param_grads(self, GD, GB) -> dict:
-        """Gradient dict from the basis cotangent GD (n, P, m) and base GB (n, m)."""
+    def param_grads(self, GD, GB, W) -> dict:
+        """Gradient dict from the basis cotangent GD (n, P, m) and base GB (n, m)
+        at the weights W of :meth:`pass_weights`."""
         GD = GD.transpose(0, 2, 1)
         if not self.use_base:
             return {"coef": GD, "w_s": np.zeros_like(self.w_s), "w_b": np.zeros_like(self.w_b)}
-        return {"coef": self.w_s[:, :, None] * GD, "w_s": (self.coef * GD).sum(axis=2),
+        return {"coef": W["w_s"][:, :, None] * GD, "w_s": (W["coef"] * GD).sum(axis=2),
                 "w_b": GB}
 
 
@@ -330,30 +367,37 @@ class AdaptKanNet:
         ``observe(li, Z)``, when given, runs before layer li evaluates Z.
 
         Returns (outputs, output tangents, caches).  A cache keeps Z, Zdot,
-        the window bases up to order 2 (1 when T = 0) with their dense
-        columns, the sigmoid of Z (base term only) and the folded weights.
+        the dense columns of the windows, the windows this pass built
+        (``Cs``: the value window, and the first-derivative one when T > 0),
+        the ``window`` builder that makes the next order from this pass's
+        located inputs, the sigmoid of Z (base term only) and the weights of
+        :meth:`AdaptKanLayer.pass_weights`.  A reverse pass over the cache
+        reads nothing of the layer's later weights or domains.
         """
         T = Zdot.shape[2]
         caches = []
         for li, layer in enumerate(self.layers):
             if observe is not None:
                 observe(li, Z)
-            bins, Cs = basis(Z, layer.hist.a, layer.hist.d, layer.omega, 2 if T else 1)
+            bins, window = _locate(Z, layer.hist.a, layer.hist.d, layer.omega)
+            Cs = [window(o) for o in range(2 if T else 1)]
             cols = window_columns(bins, layer.coef.shape[2])
-            Wf = layer.folded_weights()
+            W = layer.pass_weights()
+            Wf = W["Wf"]
             Y = layer.basis_product(cols, Cs[0], Wf)
             sig = None
             if layer.use_base:
                 sig = _sigmoid(Z)
-                Y += silu(Z, sig) @ layer.w_b
+                Y += silu(Z, sig) @ W["w_b"]
             if not np.all(np.isfinite(Y)):
                 raise NonFiniteError(li)
             Ydot = np.empty(Y.shape + (T,))
             for t in range(T):
                 Ydot[:, :, t] = layer.basis_product(cols, Cs[1] * Zdot[:, :, t, None], Wf)
             if layer.use_base and T:
-                Ydot += np.einsum("bn,bnt,nm->bmt", silu_d1(Z, sig), Zdot, layer.w_b)
-            caches.append({"Z": Z, "Zdot": Zdot, "cols": cols, "Cs": Cs, "sig": sig, "Wf": Wf})
+                Ydot += np.einsum("bn,bnt,nm->bmt", silu_d1(Z, sig), Zdot, W["w_b"])
+            caches.append({"Z": Z, "Zdot": Zdot, "cols": cols, "Cs": Cs, "window": window,
+                           "sig": sig, **W})
             Z, Zdot = Y, Ydot
         return Z, Zdot, caches
 
@@ -371,7 +415,8 @@ class AdaptKanNet:
         for li in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[li]
             c = caches[li]
-            Z, Zdot, cols, Cs, sig, Wf = c["Z"], c["Zdot"], c["cols"], c["Cs"], c["sig"], c["Wf"]
+            Z, Zdot, cols, sig, Wf = c["Z"], c["Zdot"], c["cols"], c["sig"], c["Wf"]
+            Cs = c["Cs"] + [c["window"](len(c["Cs"]))]
             E = G if activation_grads is None else G[:, None, :] + activation_grads[li]
             gZ = (layer.window_cotangent(cols, E, Wf) * Cs[1]).sum(axis=2)
             gZdot = np.empty(Z.shape + (T,))
@@ -381,9 +426,10 @@ class AdaptKanNet:
                 gZ += Zdot[:, :, t] * (H * Cs[2]).sum(axis=2)
             if layer.use_base:  # E is (B, m), or (B, n, m) per feature
                 sd1 = silu_d1(Z, sig)
-                base = sd1 * (E @ layer.w_b.T if E.ndim == 2 else (E * layer.w_b).sum(axis=2))
+                w_b = c["w_b"]
+                base = sd1 * (E @ w_b.T if E.ndim == 2 else (E * w_b).sum(axis=2))
                 if T:
-                    Hb = np.einsum("bit,ji->bjt", Gdot, layer.w_b)
+                    Hb = np.einsum("bit,ji->bjt", Gdot, w_b)
                     base += silu_d2(Z, sig) * (Zdot * Hb).sum(axis=2)
                     gZdot += sd1[:, :, None] * Hb
                 gZ += base
@@ -397,7 +443,7 @@ class AdaptKanNet:
                     GB = sv.T @ E if E.ndim == 2 else np.einsum("rj,rjm->jm", sv, E)
                     if T:
                         GB += np.einsum("bj,bjt,bit->ji", sd1, Zdot, Gdot)
-                grads[li] = layer.param_grads(GD, GB)
+                grads[li] = layer.param_grads(GD, GB, c)
             G, Gdot = gZ, gZdot
         return grads, G, Gdot
 

@@ -93,6 +93,18 @@ def basis(z, a, d, omega: int, order: int = 0):
     coordinate is clipped to [0, 1], extending the spline as a constant
     outside [a, b], and derivative windows are zero there.
     """
+    bins, window = _locate(z, a, d, omega)
+    return bins, [window(o) for o in range(order + 1)]
+
+
+def _locate(z, a, d, omega: int):
+    """The part of :func:`basis` that every window order shares.
+
+    Returns ``(bins, window)``: ``bins`` as :func:`basis` returns them, and
+    ``window(o)`` the order-o window of :func:`basis`.  ``window`` keeps the
+    theta powers, u = (z - a) / d and d of this call, so a caller can build
+    a further order later, bitwise equal to building it now.
+    """
     # Runs per layer per training step, where np.clip's Python wrapper and
     # np.stack cost more than the arithmetic, hence the in-place ufunc
     # clamps and one preallocated powers array.  The windows must stay
@@ -112,15 +124,15 @@ def basis(z, a, d, omega: int, order: int = 0):
     pows[..., 2] = theta
     pows[..., 3] = 1.0
     pows = pows.reshape(-1, 4)
-    Cs = [(pows @ _WINDOW_MATS[0]).reshape(shape)]
-    if order:
-        outside = ~((u >= 0.0) & (u <= omega))
-        d = np.asarray(d, dtype=float)[..., None]
-        for o in range(1, order + 1):
-            Co = (pows @ _WINDOW_MATS[o]).reshape(shape) / d**o
-            Co[outside] = 0.0
-            Cs.append(Co)
-    return bins.astype(np.int64), Cs
+
+    def window(order: int) -> np.ndarray:
+        C = (pows @ _WINDOW_MATS[order]).reshape(shape)
+        if order:
+            C = C / np.asarray(d, dtype=float)[..., None] ** order
+            C[~((u >= 0.0) & (u <= omega))] = 0.0
+        return C
+
+    return bins.astype(np.int64), window
 
 
 def window_columns(bins: np.ndarray, n_coef: int) -> np.ndarray:

@@ -1,12 +1,15 @@
-"""The dense-basis layer kernel against a window-gather reference kernel.
+"""The layer kernel against a window-gather reference kernel.
 
-The reference below evaluates every activation from its gathered
-(B, n, 4, m) coefficient window and scatters coefficient gradients back with
-a bincount over a (B, n, 4, m) flat index; it is the formulation the layer
-kernel replaced.  Both are exact in real arithmetic and differ in float64
-only in summation order, so the tolerance is fixed from the dtype, not from
-observed errors: rtol 1e-10, plus an absolute floor of 1e-12 times the
-largest reference magnitude (at least 1) for entries that cancel to ~0.
+The kernel contracts a layer with several outputs against a dense basis
+and a one-output layer at its windows; the shapes below cover both, with
+and without the base term.  The reference evaluates every activation from
+its gathered (B, n, 4, m) coefficient window and scatters coefficient
+gradients back with a bincount over a (B, n, 4, m) flat index, written
+independently of either form, and remains the reference for both.  All are
+exact in real arithmetic and differ in float64 only in summation order, so
+the tolerance is fixed from the dtype, not from observed errors: rtol
+1e-10, plus an absolute floor of 1e-12 times the largest reference
+magnitude (at least 1) for entries that cancel to ~0.
 
 The window basis itself must not move at all (training follows its exact
 trajectory), so ``spline.basis`` is compared with ``np.array_equal`` against
@@ -242,15 +245,20 @@ def check_against_reference(net, X, seed=0):
 
 
 @pytest.mark.parametrize("omega", [3, 10, 50])
-@pytest.mark.parametrize("shape", [[2, 5, 1], [3, 4, 2], [2, 32, 32, 1]])
+# [3, 1, 2]: a one-output hidden layer receives per-feature sparsity
+# cotangents and the tangents of the T = 2 passes
+@pytest.mark.parametrize("shape", [[2, 5, 1], [3, 4, 2], [2, 32, 32, 1], [3, 1, 2]])
 def test_kernel_matches_reference(shape, omega):
     net = make_net(shape, omega, seed=omega)
     check_against_reference(net, inputs(net, 37, seed=omega), seed=omega)
 
 
-@pytest.mark.parametrize("omega", [3, 10])
-def test_kernel_matches_reference_without_base(omega):
-    net = make_net([3, 4, 2], omega, mode="linear", seed=5)
+# ids keep the [3, 4, 2] cases' earlier names
+@pytest.mark.parametrize("shape, omega", [([3, 4, 2], 3), ([3, 4, 2], 10),
+                                          ([3, 4, 1], 3), ([3, 4, 1], 10)],
+                         ids=["3", "10", "one_out-3", "one_out-10"])
+def test_kernel_matches_reference_without_base(shape, omega):
+    net = make_net(shape, omega, mode="linear", seed=5)
     check_against_reference(net, inputs(net, 23, seed=5), seed=5)
 
 

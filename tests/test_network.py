@@ -367,6 +367,25 @@ def test_backward_gradients_do_not_alias():
     assert not np.array_equal(g1[0], g2[0])
 
 
+@pytest.mark.parametrize("mode", ["kan", "linear"])
+def test_backward_reads_the_weights_and_domains_of_its_forward(mode):
+    # an optimiser step and a stretch after the forward must not reach a
+    # reverse pass over its caches; the linear one-output layer's folded
+    # weights used to be a view of the parameter buffer
+    net = init_network([2, 3, 1], mode=mode, noise=0.5, seed=4, cfg=AdaptConfig(alpha=0.5))
+    rng = np.random.default_rng(5)
+    X, G = rng.uniform(-1, 1, (8, 2)), rng.normal(size=(8, 1))
+    _, caches = net.forward(X)
+    grads, gX = net.backward(caches, G)
+    net.parameters()[0][...] += 0.5
+    b = net.layers[0].hist.b.copy()
+    net.forward(rng.uniform(3.0, 4.0, (64, 2)), record=True)
+    assert (net.layers[0].hist.b > b).any()
+    grads_after, gX_after = net.backward(caches, G)
+    np.testing.assert_array_equal(gX_after, gX)
+    np.testing.assert_array_equal(net.gradient_list(grads_after)[0], net.gradient_list(grads)[0])
+
+
 def test_parameters_follow_refine_adaptation_and_load(tmp_path):
     from adaptkan.model_io import load_model, save_model
     net = init_network([2, 3, 1], mode="kan", noise=0.5, seed=6,

@@ -29,8 +29,9 @@ Parts (all by default):
            activation cotangents, and without weight gradients),
            ``forward_jvp`` and ``backward_jvp`` on fixed inputs, then a
            recording forward and a manual snap, for a [2, 5, 1] kan, a
-           [2, 32, 32, 1] kan at omega 50 over several row blocks, and a
-           [2, 10] linear network, each with 2 tangent channels
+           [2, 32, 32, 1] kan at omega 50 over several row blocks, a
+           [2, 10] linear and a [2, 4, 1] linear network, each with 2
+           tangent channels
 
 A training run covers its history, flat parameters, each layer's histogram
 ``a``/``b``/``counts``/``extremes`` and the network's adaptation event count.
@@ -291,14 +292,18 @@ def grad_digests(prefix: str, grads) -> dict:
 
 
 def part_passes(work: Path) -> dict:
-    """Each pass of three networks on fixed inputs, a share of them outside
-    the domains: outputs, tangents, gradient dicts and input cotangents."""
+    """Each pass of four networks on fixed inputs, a share of them outside
+    the domains: outputs, tangents, gradient dicts and input cotangents.
+    Both kinds of layer contraction are covered with and without the base
+    term: the one-output layers contract at their windows, the wider ones
+    against the dense basis."""
     from adaptkan import init_network
     from adaptkan.network import sparsity_penalty
     out = {}
     for name, shape, mode, omega, B in (("kan_small", [2, 5, 1], "kan", 5, 64),
                                         ("kan_wide", [2, 32, 32, 1], "kan", 50, 200),
-                                        ("linear", [2, 10], "linear", 3, 64)):
+                                        ("linear", [2, 10], "linear", 3, 64),
+                                        ("linear_one_out", [2, 4, 1], "linear", 3, 64)):
         rng = np.random.default_rng(len(shape) + omega)
         net = init_network(shape, mode=mode, noise=0.5, seed=1, omega=omega)
         X = rng.uniform(-1.3, 1.3, (B, shape[0]))
