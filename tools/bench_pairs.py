@@ -83,8 +83,8 @@ def verdict(parent, change, better: str, bound: float, fails_more: bool = False)
 
 
 def checkout_record(root: Path) -> dict:
-    """The checkout's directory, commit and whether it has uncommitted changes."""
-    record = {"dir": str(root), "commit": None, "dirty": None}
+    """The checkout's commit and whether it has uncommitted changes."""
+    record = {"commit": None, "dirty": None}
     if (root / ".git").exists():
         git = ["git", "-C", str(root)]
         record["commit"] = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True,
